@@ -4,21 +4,15 @@
 //! experiments list                 # show available experiment ids
 //! experiments all [--paper-scale]  # run everything
 //! experiments fig5a fig9b ...      # run specific figures
-//! experiments bench3               # candidate-race snapshot → BENCH_3.json
-//! experiments bench5               # probe-churn snapshot → BENCH_5.json
-//! experiments bench6               # incremental-engine snapshot → BENCH_6.json
-//! experiments bench7               # serve-throughput snapshot → BENCH_7.json
-//! experiments bench8               # wide-lane sampling snapshot → BENCH_8.json
 //!   --paper-scale   use the paper's full sizes (slow)
 //!   --seed <n>      master seed (default 42)
 //!   --out <dir>     CSV output directory (default results/)
-//!   --reps <n>      repetitions per bench configuration (default 2)
 //! ```
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use flowmax_bench::{candidate_race, probe_churn, registry, serve_bench, wide_lanes, Scale};
+use flowmax_bench::{registry, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,18 +20,10 @@ fn main() {
     let mut scale = Scale::reduced();
     let mut seed = 42u64;
     let mut out = PathBuf::from("results");
-    let mut reps = 2u32;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--paper-scale" => scale = Scale::paper_scale(),
-            "--reps" => {
-                i += 1;
-                reps = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--reps needs an integer");
-                    std::process::exit(2);
-                });
-            }
             "--seed" => {
                 i += 1;
                 seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
@@ -55,129 +41,6 @@ fn main() {
             other => ids.push(other.to_string()),
         }
         i += 1;
-    }
-
-    // The candidate-race snapshot lives outside the figure registry: it
-    // emits the machine-readable BENCH_3.json perf-trajectory artifact.
-    if ids.iter().any(|s| s == "bench3") {
-        let started = Instant::now();
-        let bench = candidate_race::run(&scale, reps);
-        print!("{}", bench.to_json());
-        let path = PathBuf::from("BENCH_3.json");
-        match bench.write_json(&path) {
-            Ok(()) => println!(
-                "# candidate_race completed in {:.1?}; wrote {}",
-                started.elapsed(),
-                path.display()
-            ),
-            Err(err) => {
-                eprintln!("error: could not write {}: {err}", path.display());
-                std::process::exit(1);
-            }
-        }
-        ids.retain(|s| s != "bench3");
-        if ids.is_empty() {
-            return;
-        }
-    }
-
-    // The probe-churn snapshot: journal vs clone-based structural probing
-    // (BENCH_5.json, the PR-5 perf-trajectory artifact).
-    if ids.iter().any(|s| s == "bench5") {
-        let started = Instant::now();
-        let bench = probe_churn::run(&scale, reps);
-        print!("{}", bench.to_json());
-        let path = PathBuf::from("BENCH_5.json");
-        match bench.write_json(&path) {
-            Ok(()) => println!(
-                "# probe_churn completed in {:.1?}; wrote {}",
-                started.elapsed(),
-                path.display()
-            ),
-            Err(err) => {
-                eprintln!("error: could not write {}: {err}", path.display());
-                std::process::exit(1);
-            }
-        }
-        ids.retain(|s| s != "bench5");
-        if ids.is_empty() {
-            return;
-        }
-    }
-
-    // The incremental-engine snapshot: O(touched) probing and replay-based
-    // commits vs the journal and clone references (BENCH_6.json, the PR-6
-    // perf-trajectory artifact).
-    if ids.iter().any(|s| s == "bench6") {
-        let started = Instant::now();
-        let bench = probe_churn::run_bench6(&scale, reps);
-        print!("{}", bench.to_json());
-        let path = PathBuf::from("BENCH_6.json");
-        match bench.write_json(&path) {
-            Ok(()) => println!(
-                "# incremental_churn completed in {:.1?}; wrote {}",
-                started.elapsed(),
-                path.display()
-            ),
-            Err(err) => {
-                eprintln!("error: could not write {}: {err}", path.display());
-                std::process::exit(1);
-            }
-        }
-        ids.retain(|s| s != "bench6");
-        if ids.is_empty() {
-            return;
-        }
-    }
-
-    // The serve-throughput snapshot: warm FlowServer (resident graph,
-    // coalescing, persistent pool) vs cold per-query sessions
-    // (BENCH_7.json, the PR-7 perf-trajectory artifact).
-    if ids.iter().any(|s| s == "bench7") {
-        let started = Instant::now();
-        let bench = serve_bench::run(&scale, reps);
-        print!("{}", bench.to_json());
-        let path = PathBuf::from("BENCH_7.json");
-        match bench.write_json(&path) {
-            Ok(()) => println!(
-                "# serve_throughput completed in {:.1?}; wrote {}",
-                started.elapsed(),
-                path.display()
-            ),
-            Err(err) => {
-                eprintln!("error: could not write {}: {err}", path.display());
-                std::process::exit(1);
-            }
-        }
-        ids.retain(|s| s != "bench7");
-        if ids.is_empty() {
-            return;
-        }
-    }
-
-    // The wide-lane snapshot: SIMD lane blocks at 64/256/512 worlds per
-    // BFS pass vs the pinned scalar reference kernel (BENCH_8.json, the
-    // PR-8 perf-trajectory artifact).
-    if ids.iter().any(|s| s == "bench8") {
-        let started = Instant::now();
-        let bench = wide_lanes::run(&scale, reps);
-        print!("{}", bench.to_json());
-        let path = PathBuf::from("BENCH_8.json");
-        match bench.write_json(&path) {
-            Ok(()) => println!(
-                "# wide_lanes completed in {:.1?}; wrote {}",
-                started.elapsed(),
-                path.display()
-            ),
-            Err(err) => {
-                eprintln!("error: could not write {}: {err}", path.display());
-                std::process::exit(1);
-            }
-        }
-        ids.retain(|s| s != "bench8");
-        if ids.is_empty() {
-            return;
-        }
     }
 
     let all = registry();

@@ -79,7 +79,6 @@ pub struct SamplingProvider {
     seq: SeedSequence,
     calls: u64,
     engine: ParallelEstimator,
-    scalar_kernel: bool,
     /// Counters describing the work performed.
     pub metrics: SelectionMetrics,
 }
@@ -116,18 +115,8 @@ impl SamplingProvider {
             seq: SeedSequence::new(SeedSequence::new(seed).child_seed(0xC0FFEE)),
             calls: 0,
             engine: ParallelEstimator::new(threads).with_lane_words(lane_words),
-            scalar_kernel: false,
             metrics: SelectionMetrics::default(),
         }
-    }
-
-    /// Switches sampled estimation to the scalar one-world-per-BFS kernel —
-    /// the pre-batching reference engine, kept selectable so selection-level
-    /// benchmarks and tests can compare against it. Still deterministic per
-    /// `(seed, call index)`, but on a different (single) coin stream than
-    /// the lane-per-world batched engine.
-    pub fn use_scalar_kernel(&mut self, on: bool) {
-        self.scalar_kernel = on;
     }
 
     /// The active configuration.
@@ -140,8 +129,7 @@ impl SamplingProvider {
         self.engine.threads()
     }
 
-    /// Adjusts the Monte-Carlo sample budget (used by the §6.3 confidence
-    /// races, which probe candidates at increasing budgets).
+    /// Adjusts the Monte-Carlo sample budget for later estimates.
     pub fn set_samples(&mut self, samples: u32) {
         self.config.samples = samples;
     }
@@ -161,10 +149,6 @@ impl EstimateProvider for SamplingProvider {
             self.config.samples as u64 * snapshot.edge_count() as u64;
         let call_seq = SeedSequence::new(self.seq.child_seed(self.calls));
         self.calls += 1;
-        if self.scalar_kernel {
-            let mut rng = call_seq.rng(0);
-            return snapshot.sample_reachability(self.config.samples, &mut rng);
-        }
         self.engine
             .sample_component(snapshot, self.config.samples, &call_seq)
     }

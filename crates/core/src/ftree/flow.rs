@@ -1139,9 +1139,9 @@ impl FTree {
     }
 
     /// The pinned clone-based reference form of [`FTree::probe_plan`]: the
-    /// pre-journal engine, kept selectable so equivalence tests and the
-    /// `probe_churn` benchmark can compare probe engines edge-for-edge.
-    /// Structural plans carry a full tree clone, exactly as before.
+    /// pre-journal engine, kept as the oracle the equivalence tests compare
+    /// the journal engine against edge-for-edge. Structural plans carry a
+    /// full tree clone, exactly as before.
     pub fn probe_plan_cloning(
         &mut self,
         graph: &ProbabilisticGraph,

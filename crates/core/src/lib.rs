@@ -28,9 +28,6 @@
 //! # Ok::<(), CoreError>(())
 //! ```
 //!
-//! The legacy one-shot [`solve`]/[`SolverConfig`] API is a deprecated shim
-//! over the session and produces bit-identical results.
-//!
 //! ## Serving
 //!
 //! For long-lived processes answering query streams, the [`serve`] module
@@ -84,8 +81,8 @@ pub use ftree::{
 };
 pub use metrics::SelectionMetrics;
 pub use selection::{
-    greedy_select, greedy_select_controlled, greedy_select_observed, CandidateSet, CiEngine,
-    DelayTracker, GreedyConfig, MemoProvider, NoObserver, SelectionObserver, SelectionOutcome,
+    greedy_select, greedy_select_controlled, greedy_select_observed, CandidateSet, DelayTracker,
+    GreedyConfig, MemoProvider, NoObserver, ProbeEngine, SelectionObserver, SelectionOutcome,
     SelectionStep,
 };
 pub use serve::{
@@ -94,8 +91,7 @@ pub use serve::{
 pub use session::{
     QueryBuilder, QuerySpec, Session, SessionState, SolveRun, DEFAULT_SPANNING_CACHE_CAPACITY,
 };
-#[allow(deprecated)]
 pub use solver::{
     evaluate_selection, evaluate_selection_with_parallelism, evaluate_selection_with_threads,
-    solve, Algorithm, SolveResult, SolverConfig,
+    Algorithm,
 };

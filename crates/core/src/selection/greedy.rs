@@ -9,18 +9,14 @@
 //! * **CI** — candidates whose components must be sampled race each other in
 //!   rounds of growing sample budgets; a candidate whose upper flow bound
 //!   falls below another's lower bound is pruned (with ≥ 30 samples, §6.3).
-//!   Two engines implement the race: the **batched racing engine**
-//!   (`selection::racing`, the default) runs each round as one
-//!   multi-candidate job on the parallel sampler with incremental
-//!   whole-batch estimates and budget reallocation, and the **scalar
-//!   reference** re-probes each candidate per round at the schedule's
-//!   cumulative budgets — kept as the pinned, easily-auditable baseline;
+//!   The batched racing engine (`selection::racing`) runs each round as
+//!   one multi-candidate job on the parallel sampler with incremental
+//!   whole-batch estimates and budget reallocation;
 //! * **DS** — probed-but-not-selected candidates are suspended for
 //!   `⌊log_c(cost/pot)⌋` iterations (§6.4); suspended candidates never
 //!   enter a race round.
 
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
-use flowmax_sampling::{BatchSchedule, MIN_SAMPLES_FOR_CLT};
 
 use crate::cancel::{RunControl, StopCause};
 use crate::estimator::{EstimateProvider, EstimatorConfig, SamplingProvider};
@@ -32,19 +28,20 @@ use crate::selection::memo::MemoProvider;
 use crate::selection::observer::{NoObserver, SelectionObserver, SelectionStep};
 use crate::selection::racing::RaceDriver;
 
-/// Which implementation drives the §6.3 confidence-interval race.
+/// Which engine probes candidates and commits the winners.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CiEngine {
-    /// The batched racing engine: rounds run as single multi-candidate
-    /// jobs on the parallel sampler, estimates grow incrementally in whole
-    /// 64-world batches, and eliminated candidates' unspent budgets are
-    /// reallocated to the finalists. Bit-identical at every thread count.
+pub enum ProbeEngine {
+    /// `O(touched)` iterations: probes answer `base + Δ(touched)` through
+    /// the F-tree flow cache, structural probes score by journalled apply →
+    /// rollback on the shared tree, and — under memoization — structural
+    /// winners commit by replaying the probe's recorded mutations.
     #[default]
-    BatchedRace,
-    /// The scalar reference race: every candidate re-probed from scratch
-    /// at each cumulative budget of the schedule. Slower by design; pinned
-    /// as the auditable baseline the racing engine is benchmarked against.
-    ScalarReference,
+    Incremental,
+    /// The test oracle: one full F-tree clone per structural probe,
+    /// whole-forest flow re-aggregation, and `insert_edge` commits. Results
+    /// are bit-identical to [`ProbeEngine::Incremental`], only slower; the
+    /// differential suites pin the two against each other.
+    CloneReference,
 }
 
 /// Configuration of a greedy selection run.
@@ -61,8 +58,6 @@ pub struct GreedyConfig {
     pub memoize: bool,
     /// Enable confidence-interval pruning (§6.3).
     pub confidence_pruning: bool,
-    /// Which engine drives the §6.3 race when `confidence_pruning` is on.
-    pub ci_engine: CiEngine,
     /// Enable delayed sampling (§6.4).
     pub delayed_sampling: bool,
     /// DS penalty parameter `c` (paper default 2).
@@ -80,23 +75,9 @@ pub struct GreedyConfig {
     /// block (supported widths 1, 4, 8; results do not depend on this —
     /// see `flowmax_sampling::ParallelEstimator::with_lane_words`).
     pub lane_words: usize,
-    /// Estimate components with the scalar one-world-per-BFS reference
-    /// kernel instead of the bit-parallel engine (baseline benchmarking;
-    /// never combines with the batched racing engine).
-    pub scalar_estimation: bool,
-    /// Probe structural candidates through the pinned clone-based engine
-    /// (one full F-tree clone per candidate) instead of the undo journal.
-    /// Kept selectable as the pre-journal reference for benchmarking and
-    /// equivalence tests; results are bit-identical either way.
-    pub cloning_probes: bool,
-    /// Drive iterations through the incremental engine (the default):
-    /// `O(touched)` flow aggregation through the F-tree flow cache, and —
-    /// under memoization — commit-by-replay for structural winners instead
-    /// of a re-run insertion. `false` selects the journal reference engine
-    /// that re-aggregates the whole forest per evaluation; results are
-    /// bit-identical either way (ignored under `cloning_probes`, whose
-    /// probe clones carry no flow cache).
-    pub incremental: bool,
+    /// The probe/commit engine (default: [`ProbeEngine::Incremental`]).
+    /// Results are bit-identical under either engine.
+    pub probe_engine: ProbeEngine,
 }
 
 impl GreedyConfig {
@@ -109,7 +90,6 @@ impl GreedyConfig {
             exact_edge_cap: 0,
             memoize: false,
             confidence_pruning: false,
-            ci_engine: CiEngine::BatchedRace,
             delayed_sampling: false,
             ds_penalty_c: 2.0,
             alpha: 0.01,
@@ -117,30 +97,13 @@ impl GreedyConfig {
             seed,
             threads: flowmax_sampling::default_threads(),
             lane_words: flowmax_sampling::default_lane_words(),
-            scalar_estimation: false,
-            cloning_probes: false,
-            incremental: true,
+            probe_engine: ProbeEngine::Incremental,
         }
     }
 
-    /// Selects between the incremental engine (`true`, the default) and
-    /// the pinned whole-forest journal reference (`false`). Bit-identical
-    /// results; the differential harness runs both.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-
-    /// Switches component estimation to the scalar reference kernel.
-    pub fn with_scalar_estimation(mut self) -> Self {
-        self.scalar_estimation = true;
-        self
-    }
-
-    /// Switches structural probing to the pinned clone-based reference
-    /// engine (benchmarking only; bit-identical results).
-    pub fn with_cloning_probes(mut self) -> Self {
-        self.cloning_probes = true;
+    /// Selects the probe/commit engine (bit-identical results).
+    pub fn with_probe_engine(mut self, probe_engine: ProbeEngine) -> Self {
+        self.probe_engine = probe_engine;
         self
     }
 
@@ -163,17 +126,9 @@ impl GreedyConfig {
         self
     }
 
-    /// Enables confidence-interval pruning (`+CI`) on the batched racing
-    /// engine.
+    /// Enables confidence-interval pruning (`+CI`).
     pub fn with_ci(mut self) -> Self {
         self.confidence_pruning = true;
-        self
-    }
-
-    /// Enables `+CI` on the scalar reference race (the pinned baseline).
-    pub fn with_scalar_ci(mut self) -> Self {
-        self.confidence_pruning = true;
-        self.ci_engine = CiEngine::ScalarReference;
         self
     }
 
@@ -247,29 +202,23 @@ pub fn greedy_select_controlled(
         exact_edge_cap: config.exact_edge_cap,
         samples: config.samples,
     };
-    let mut inner = SamplingProvider::with_parallelism(
+    let inner = SamplingProvider::with_parallelism(
         estimator,
         config.seed,
         config.threads,
         config.lane_words,
     );
-    inner.use_scalar_kernel(config.scalar_estimation);
     let mut provider = MemoProvider::new(inner, config.memoize);
     let mut tree = FTree::new(graph, query);
-    // The incremental engine never combines with the clone-based probe
-    // reference: cloned probe trees carry no flow cache.
-    let incremental = config.incremental && !config.cloning_probes;
+    // Cloned probe trees carry no flow cache, so only the incremental
+    // engine enables it.
+    let incremental = config.probe_engine == ProbeEngine::Incremental;
     if incremental {
         tree.enable_flow_cache();
     }
     let mut candidates = CandidateSet::new(graph, query);
     let mut delays = DelayTracker::new(config.ds_penalty_c);
-    // The racing driver samples through the batched engine by definition;
-    // scalar-estimation baselines fall back to the scalar reference race.
-    let mut racer = (config.confidence_pruning
-        && config.ci_engine == CiEngine::BatchedRace
-        && !config.scalar_estimation)
-        .then(|| RaceDriver::new(config));
+    let mut racer = config.confidence_pruning.then(|| RaceDriver::new(config));
     let mut metrics = SelectionMetrics::default();
     let mut flow_trace = Vec::with_capacity(config.budget);
     let mut base_flow = 0.0;
@@ -300,24 +249,14 @@ pub fn greedy_select_controlled(
 
         // The probe phase is clone-free by construction (journalled
         // apply/rollback); debug builds prove it with the thread-local
-        // clone counter. The pinned clone-based reference engine is the
-        // one deliberate exception.
+        // clone counter. The clone-based reference engine is the one
+        // deliberate exception.
         #[cfg(debug_assertions)]
         let clones_before = FTree::debug_clone_count();
         #[cfg(debug_assertions)]
         let full_evals_before = FTree::debug_full_flow_eval_count();
         let mut records = if let Some(racer) = racer.as_mut() {
             racer.probe_candidates(
-                graph,
-                &mut tree,
-                &pool,
-                base_flow,
-                config,
-                &mut provider,
-                &mut metrics,
-            )
-        } else if config.confidence_pruning {
-            probe_with_ci_race(
                 graph,
                 &mut tree,
                 &pool,
@@ -339,7 +278,7 @@ pub fn greedy_select_controlled(
         };
         #[cfg(debug_assertions)]
         debug_assert!(
-            config.cloning_probes || FTree::debug_clone_count() == clones_before,
+            !incremental || FTree::debug_clone_count() == clones_before,
             "the selection hot loop must not clone the F-tree"
         );
         let Some(best_idx) = best_record(&records) else {
@@ -503,8 +442,8 @@ fn best_record(records: &[ProbeRecord]) -> Option<usize> {
 }
 
 /// One probe through the engine the config selects: the journal-based
-/// default, or the pinned clone-based reference (`cloning_probes`).
-/// Bit-identical outcomes either way.
+/// default, or the clone-based reference. Bit-identical outcomes either
+/// way.
 fn probe_once(
     tree: &mut FTree,
     graph: &ProbabilisticGraph,
@@ -513,7 +452,7 @@ fn probe_once(
     config: &GreedyConfig,
     provider: &mut MemoProvider,
 ) -> (ProbeOutcome, Option<CommitReplay>) {
-    if config.cloning_probes {
+    if config.probe_engine == ProbeEngine::CloneReference {
         let plan = tree
             .probe_plan_cloning(graph, e, base_flow)
             .expect("candidates are probeable");
@@ -563,90 +502,6 @@ fn probe_all(
         });
     }
     records
-}
-
-/// CI racing (§6.3): sampled candidates are probed at growing sample
-/// budgets; a candidate whose upper bound is below the best lower bound is
-/// pruned before the full budget is spent.
-fn probe_with_ci_race(
-    graph: &ProbabilisticGraph,
-    tree: &mut FTree,
-    pool: &[EdgeId],
-    base_flow: f64,
-    config: &GreedyConfig,
-    provider: &mut MemoProvider,
-    metrics: &mut SelectionMetrics,
-) -> Vec<ProbeRecord> {
-    // Cumulative budgets, e.g. 50, 150, 350, 750, `samples` — rounds below
-    // the CLT floor are dropped (their bounds may not eliminate anyway).
-    let schedule = BatchSchedule::paper_default(config.samples);
-    let mut budgets: Vec<u32> = schedule
-        .cumulative_budgets()
-        .into_iter()
-        .filter(|&acc| acc >= MIN_SAMPLES_FOR_CLT)
-        .collect();
-    if budgets.is_empty() {
-        budgets.push(config.samples);
-    }
-
-    // First pass at the smallest budget classifies candidates.
-    provider.inner_mut().set_samples(budgets[0]);
-    let mut analytic: Vec<ProbeRecord> = Vec::new();
-    let mut racing: Vec<ProbeRecord> = Vec::new();
-    for &e in pool {
-        let (outcome, replay) = probe_once(tree, graph, e, base_flow, config, provider);
-        metrics.probes += 1;
-        if outcome.sampling_cost_edges == 0 {
-            metrics.analytic_probes += 1;
-            analytic.push(ProbeRecord {
-                edge: e,
-                outcome,
-                replay,
-            });
-        } else {
-            racing.push(ProbeRecord {
-                edge: e,
-                outcome,
-                replay,
-            });
-        }
-    }
-
-    let analytic_best_lower = analytic
-        .iter()
-        .map(|r| r.outcome.lower)
-        .fold(f64::NEG_INFINITY, f64::max);
-
-    for round in 0..budgets.len() {
-        // Prune: a racer whose upper bound cannot beat the best lower bound
-        // is eliminated (1 − α confidence, Def. 10).
-        let best_lower = racing
-            .iter()
-            .map(|r| r.outcome.lower)
-            .fold(analytic_best_lower, f64::max);
-        let before = racing.len();
-        racing.retain(|r| r.outcome.upper >= best_lower);
-        metrics.ci_pruned += (before - racing.len()) as u64;
-        if racing.is_empty() {
-            break;
-        }
-        // Last round's estimates are already at full budget.
-        if round + 1 == budgets.len() {
-            break;
-        }
-        let next_budget = budgets[round + 1];
-        provider.inner_mut().set_samples(next_budget);
-        for r in &mut racing {
-            let (outcome, replay) = probe_once(tree, graph, r.edge, base_flow, config, provider);
-            metrics.probes += 1;
-            r.outcome = outcome;
-            r.replay = replay;
-        }
-    }
-    provider.inner_mut().set_samples(config.samples);
-
-    analytic.extend(racing);
-    analytic
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ mod racing;
 pub use candidates::CandidateSet;
 pub use delayed::DelayTracker;
 pub use greedy::{
-    greedy_select, greedy_select_controlled, greedy_select_observed, CiEngine, GreedyConfig,
+    greedy_select, greedy_select_controlled, greedy_select_observed, GreedyConfig, ProbeEngine,
     SelectionOutcome,
 };
 pub use memo::MemoProvider;

@@ -33,7 +33,7 @@ use flowmax_sampling::{
 use crate::estimator::EstimateProvider;
 use crate::ftree::{CommitReplay, FTree, ProbeOutcome, ProbePlan, SampledProbe};
 use crate::metrics::SelectionMetrics;
-use crate::selection::greedy::{GreedyConfig, ProbeRecord};
+use crate::selection::greedy::{GreedyConfig, ProbeEngine, ProbeRecord};
 use crate::selection::memo::MemoProvider;
 
 /// Stream label separating racing seeds from the estimation-provider seeds
@@ -69,8 +69,7 @@ impl RaceDriver {
     /// Runs one greedy iteration's probes as a race. Returns the analytic
     /// and exactly-enumerated probes plus every racing candidate that
     /// survived elimination; eliminated candidates are absent (they cannot
-    /// win and are not recorded for delayed sampling, matching the scalar
-    /// reference race).
+    /// win and are not recorded for delayed sampling).
     ///
     /// The tree is borrowed mutably because structural plans score by
     /// journalled apply → evaluate → rollback on it; every score leaves it
@@ -95,7 +94,7 @@ impl RaceDriver {
         let mut records: Vec<ProbeRecord> = Vec::with_capacity(pool.len());
         let mut racers: Vec<Racer> = Vec::new();
         for &e in pool {
-            let plan = if config.cloning_probes {
+            let plan = if config.probe_engine == ProbeEngine::CloneReference {
                 tree.probe_plan_cloning(graph, e, base_flow)
             } else {
                 tree.probe_plan(graph, e, base_flow)
@@ -114,7 +113,7 @@ impl RaceDriver {
                     let snapshot = plan.snapshot();
                     if snapshot.uncertain_edge_count() <= config.exact_edge_cap {
                         // Exactly-enumerable components take the same
-                        // memoized provider path as the scalar loop (the
+                        // memoized provider path as plain probing (the
                         // provider's exact branch neither draws samples nor
                         // advances its RNG call counter, so cache misses
                         // never perturb later sampled estimates).

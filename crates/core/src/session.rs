@@ -20,8 +20,7 @@
 //!   the configured worker threads — the multi-user serving mode.
 //!
 //! Every entry point returns `Result<_, CoreError>` instead of panicking
-//! on invalid input. The legacy one-shot [`solve`](crate::solver::solve)
-//! API is a thin shim over this module and produces bit-identical results.
+//! on invalid input.
 //!
 //! ```
 //! use flowmax_core::{Algorithm, CoreError, Session};
@@ -54,13 +53,12 @@ use crate::cancel::{RunControl, StopCause};
 use crate::error::CoreError;
 use crate::estimator::EstimatorConfig;
 use crate::metrics::SelectionMetrics;
-use crate::selection::greedy::{greedy_select_controlled, CiEngine, GreedyConfig};
+use crate::selection::greedy::{greedy_select_controlled, GreedyConfig, ProbeEngine};
 use crate::selection::observer::{NoObserver, SelectionObserver, SelectionStep};
 use crate::solver::{evaluate_selection_with_parallelism, Algorithm};
 
 /// Seed-stream tag separating the shared evaluator's randomness from the
-/// selection's (the legacy `solve` used the same tag, so session runs are
-/// bit-identical to it).
+/// selection's.
 pub(crate) const EVAL_SEED_TAG: u64 = 0xE7A1;
 
 /// Default bound of the per-graph spanning-tree cache: plenty for a few hot
@@ -306,13 +304,9 @@ impl<'g> Session<'g> {
                 samples: 1000,
                 exact_edge_cap: 0,
                 alpha: 0.01,
-                ci_engine: CiEngine::BatchedRace,
                 ds_penalty_c: 2.0,
                 include_query: false,
                 seed: self.seed,
-                scalar_estimation: false,
-                cloning_probes: false,
-                incremental: true,
             },
         })
     }
@@ -486,8 +480,7 @@ impl<'g> Session<'g> {
         })
     }
 
-    /// Runs one spec without validation (the legacy `solve` shim reaches
-    /// this directly to preserve its permissive behaviour bit for bit).
+    /// Runs one (validated) spec.
     ///
     /// `control` applies to the greedy algorithms only: the baselines are
     /// cheap enough (Dijkstra never samples; Naive exists for comparison
@@ -540,10 +533,10 @@ impl<'g> Session<'g> {
         };
         let elapsed = start.elapsed();
         let eval_seed = spec.seed ^ EVAL_SEED_TAG;
-        // Evaluate the selection exactly as the legacy `solve` did — in the
-        // algorithm's own output order (ascending edge ids for the F-tree
-        // algorithms, commit order for the baselines) — so session flows
-        // are bit-identical to the shim's.
+        // Evaluate the selection in the algorithm's own output order
+        // (ascending edge ids for the F-tree algorithms, commit order for
+        // the baselines): the insertion order fixes the evaluator's RNG
+        // call sequence, and `flow_at` mirrors it for prefixes.
         let flow = evaluate_selection_with_parallelism(
             self.graph,
             spec.vertex,
@@ -565,7 +558,6 @@ impl<'g> Session<'g> {
             eval_seed,
             threads,
             lane_words: self.lane_words,
-            evaluated_order: outcome.selected,
             query: spec.vertex,
             algorithm: spec.algorithm,
             selected,
@@ -620,13 +612,9 @@ pub struct QuerySpec {
     pub(crate) samples: u32,
     pub(crate) exact_edge_cap: usize,
     pub(crate) alpha: f64,
-    pub(crate) ci_engine: CiEngine,
     pub(crate) ds_penalty_c: f64,
     pub(crate) include_query: bool,
     pub(crate) seed: u64,
-    pub(crate) scalar_estimation: bool,
-    pub(crate) cloning_probes: bool,
-    pub(crate) incremental: bool,
 }
 
 impl QuerySpec {
@@ -657,13 +645,9 @@ impl QuerySpec {
             samples,
             exact_edge_cap,
             alpha,
-            ci_engine,
             ds_penalty_c,
             include_query,
             seed,
-            scalar_estimation,
-            cloning_probes,
-            incremental,
         } = *self;
         let (memoize, confidence_pruning, delayed_sampling) = match algorithm {
             Algorithm::Naive | Algorithm::Dijkstra | Algorithm::Ft => (false, false, false),
@@ -678,7 +662,6 @@ impl QuerySpec {
             exact_edge_cap,
             memoize,
             confidence_pruning,
-            ci_engine,
             delayed_sampling,
             ds_penalty_c,
             alpha,
@@ -686,9 +669,7 @@ impl QuerySpec {
             seed,
             threads,
             lane_words,
-            scalar_estimation,
-            cloning_probes,
-            incremental,
+            probe_engine: ProbeEngine::Incremental,
         }
     }
 }
@@ -739,13 +720,6 @@ impl<'s, 'g> QueryBuilder<'s, 'g> {
         self
     }
 
-    /// Picks the §6.3 race engine for the `CI` variants (default: the
-    /// batched racing engine).
-    pub fn ci_engine(mut self, engine: CiEngine) -> Self {
-        self.spec.ci_engine = engine;
-        self
-    }
-
     /// Sets the delayed-sampling penalty `c` (paper: 2).
     pub fn ds_penalty_c(mut self, c: f64) -> Self {
         self.spec.ds_penalty_c = c;
@@ -761,32 +735,6 @@ impl<'s, 'g> QueryBuilder<'s, 'g> {
     /// Overrides the session's master seed for this query.
     pub fn seed(mut self, seed: u64) -> Self {
         self.spec.seed = seed;
-        self
-    }
-
-    /// Estimates components with the scalar one-world-per-BFS reference
-    /// kernel instead of the bit-parallel engine (baseline benchmarking).
-    pub fn scalar_estimation(mut self, scalar: bool) -> Self {
-        self.spec.scalar_estimation = scalar;
-        self
-    }
-
-    /// Probes structural candidates through the pinned clone-based
-    /// reference engine instead of the undo journal (baseline
-    /// benchmarking; results are bit-identical, only slower).
-    pub fn cloning_probes(mut self, cloning: bool) -> Self {
-        self.spec.cloning_probes = cloning;
-        self
-    }
-
-    /// Maintains probe flow as `base + Δ(touched)` and commits winners by
-    /// replaying their probe journals (default: on). Turning it off runs
-    /// the PR-5 journal reference engine — full-tree flow re-aggregation
-    /// and `insert_edge` commits — with bit-identical results, only
-    /// slower. Ignored (always off) under
-    /// [`QueryBuilder::cloning_probes`].
-    pub fn incremental(mut self, incremental: bool) -> Self {
-        self.spec.incremental = incremental;
         self
     }
 
@@ -858,11 +806,10 @@ impl<'s, 'g> QueryBuilder<'s, 'g> {
 /// The result of one session query: the full anytime record of a
 /// selection run, not just its endpoint.
 ///
-/// Beyond the fields of the legacy `SolveResult`, a run keeps the
-/// per-iteration [`steps`](SolveRun::steps) stream and can evaluate any
-/// prefix of its selection with [`flow_at`](SolveRun::flow_at) — one run
-/// at budget `K` answers every budget `≤ K` exactly as independent runs
-/// would.
+/// Besides the selection and its flow, a run keeps the per-iteration
+/// [`steps`](SolveRun::steps) stream and can evaluate any prefix of its
+/// selection with [`flow_at`](SolveRun::flow_at) — one run at budget `K`
+/// answers every budget `≤ K` exactly as independent runs would.
 #[derive(Debug, Clone)]
 pub struct SolveRun<'g> {
     graph: &'g ProbabilisticGraph,
@@ -871,11 +818,6 @@ pub struct SolveRun<'g> {
     eval_seed: u64,
     threads: usize,
     lane_words: usize,
-    /// The selection in the order the legacy `solve` evaluated (and
-    /// returned) it: ascending edge ids for the F-tree algorithms, commit
-    /// order for the baselines. Kept so the deprecated shim stays
-    /// bit-identical.
-    pub(crate) evaluated_order: Vec<EdgeId>,
     /// The query vertex.
     pub query: VertexId,
     /// The algorithm that produced the run.

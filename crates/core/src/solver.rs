@@ -1,29 +1,18 @@
-//! The algorithm roster (§7.2), the shared uniform final-flow evaluator,
-//! and the legacy one-shot `solve` entry point.
+//! The algorithm roster (§7.2) and the shared uniform final-flow
+//! evaluator.
 //!
 //! The paper compares algorithms by the expected flow of their *selected
 //! subgraphs*. Since each algorithm estimates flow with different noise
 //! during selection, every run re-evaluates its final selection with one
 //! shared high-fidelity evaluator (exact for small components, heavily
-//! sampled otherwise) so reported flows are comparable.
-//!
-//! [`solve`] and [`SolverConfig`] are **deprecated shims** over the
-//! session API ([`crate::session::Session`]): they rebuild all per-graph
-//! state on every call and panic instead of returning errors. They produce
-//! bit-identical results to the equivalent session query and remain for
-//! migration only.
-
-use std::time::Duration;
+//! sampled otherwise) so reported flows are comparable. Queries run through
+//! the session API ([`crate::session::Session`]).
 
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
 
 use crate::error::CoreError;
 use crate::estimator::{EstimatorConfig, SamplingProvider};
 use crate::ftree::FTree;
-use crate::metrics::SelectionMetrics;
-use crate::selection::greedy::CiEngine;
-use crate::selection::observer::NoObserver;
-use crate::session::{QuerySpec, Session};
 
 /// The algorithms evaluated in §7.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,153 +82,6 @@ impl std::str::FromStr for Algorithm {
     /// [`Algorithm::parse`] with a typed error for `Result` pipelines.
     fn from_str(s: &str) -> Result<Algorithm, CoreError> {
         Algorithm::parse(s).ok_or_else(|| CoreError::UnknownAlgorithm(s.to_string()))
-    }
-}
-
-/// Solver configuration shared by all algorithms.
-#[deprecated(
-    since = "0.5.0",
-    note = "configure queries through `Session::query`'s builder instead"
-)]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolverConfig {
-    /// Which algorithm to run.
-    pub algorithm: Algorithm,
-    /// Edge budget `k`.
-    pub budget: usize,
-    /// Monte-Carlo samples per estimation (paper: 1000).
-    pub samples: u32,
-    /// Components with at most this many uncertain edges are enumerated
-    /// exactly during *selection* instead of sampled (0 = pure Monte-Carlo,
-    /// the paper's setting; tests use it to pin selections exactly).
-    pub exact_edge_cap: usize,
-    /// CI significance level `α` (paper: 0.01).
-    pub alpha: f64,
-    /// Race engine for the `CI` variants: the batched racing engine by
-    /// default, or the scalar reference race for baseline comparisons.
-    pub ci_engine: CiEngine,
-    /// DS penalty `c` (paper: 2).
-    pub ds_penalty_c: f64,
-    /// Whether `W(Q)` counts toward the flow.
-    pub include_query: bool,
-    /// Master seed.
-    pub seed: u64,
-    /// Evaluation estimator for the final reported flow.
-    pub evaluation: EstimatorConfig,
-    /// Worker threads for Monte-Carlo sampling (CLI `--threads`,
-    /// `FLOWMAX_THREADS`). Changing this never changes results, only
-    /// wall-clock time — the batched engine is thread-count invariant.
-    pub threads: usize,
-    /// Estimate components with the scalar one-world-per-BFS reference
-    /// kernel instead of the bit-parallel engine (baseline benchmarking).
-    pub scalar_estimation: bool,
-}
-
-#[allow(deprecated)]
-impl SolverConfig {
-    /// Paper defaults for `algorithm` at budget `k`, with the
-    /// `FLOWMAX_THREADS` worker count (default 1).
-    pub fn paper(algorithm: Algorithm, budget: usize, seed: u64) -> Self {
-        SolverConfig {
-            algorithm,
-            budget,
-            samples: 1000,
-            exact_edge_cap: 0,
-            alpha: 0.01,
-            ci_engine: CiEngine::BatchedRace,
-            ds_penalty_c: 2.0,
-            include_query: false,
-            seed,
-            evaluation: EstimatorConfig::hybrid(16, 3000),
-            threads: flowmax_sampling::default_threads(),
-            scalar_estimation: false,
-        }
-    }
-}
-
-/// Result of a solver run.
-#[derive(Debug, Clone)]
-pub struct SolveResult {
-    /// The algorithm that produced it.
-    pub algorithm: Algorithm,
-    /// Selected edges in selection order.
-    pub selected: Vec<EdgeId>,
-    /// Flow of the selection under the shared high-fidelity evaluator.
-    pub flow: f64,
-    /// Flow as estimated by the algorithm itself during selection.
-    pub algorithm_flow: f64,
-    /// Wall-clock time of the selection (excludes final evaluation).
-    pub elapsed: Duration,
-    /// Work counters from the selection.
-    pub metrics: SelectionMetrics,
-}
-
-/// Runs one algorithm end to end and evaluates its selection uniformly.
-///
-/// This is a thin shim over the session API: it builds a throwaway
-/// [`Session`], runs one query, and discards the shared state. The
-/// destructuring below is exhaustive on purpose — adding a knob to
-/// `SolverConfig` without routing it through [`QuerySpec`] (the single
-/// conversion path to `GreedyConfig`) is a compile error, not a silently
-/// ignored field.
-#[deprecated(
-    since = "0.5.0",
-    note = "use `Session::new(graph).query(q)?...run()?`; one session serves many queries"
-)]
-#[allow(deprecated)]
-pub fn solve(graph: &ProbabilisticGraph, query: VertexId, config: &SolverConfig) -> SolveResult {
-    let SolverConfig {
-        algorithm,
-        budget,
-        samples,
-        exact_edge_cap,
-        alpha,
-        ci_engine,
-        ds_penalty_c,
-        include_query,
-        seed,
-        evaluation,
-        threads,
-        scalar_estimation,
-    } = *config;
-    let session = Session::new(graph)
-        .with_threads(threads)
-        .with_seed(seed)
-        .with_evaluation(evaluation);
-    let spec = QuerySpec {
-        vertex: query,
-        algorithm,
-        budget,
-        samples,
-        exact_edge_cap,
-        alpha,
-        ci_engine,
-        ds_penalty_c,
-        include_query,
-        seed,
-        scalar_estimation,
-        // The legacy config predates the journal engine; the shim always
-        // uses the (bit-identical) default probes.
-        cloning_probes: false,
-        incremental: true,
-    };
-    // The legacy API tolerated degenerate configs (zero budget, isolated
-    // queries) without erroring, so the shim skips builder validation.
-    let run = session.execute(
-        &spec,
-        session.threads(),
-        &crate::cancel::RunControl::unlimited(),
-        &mut NoObserver,
-    );
-    SolveResult {
-        algorithm,
-        // The legacy output order (ascending ids for F-tree algorithms),
-        // not the session's commit order.
-        selected: run.evaluated_order,
-        flow: run.flow,
-        algorithm_flow: run.algorithm_flow,
-        elapsed: run.elapsed,
-        metrics: run.metrics,
     }
 }
 
@@ -332,11 +174,8 @@ pub fn evaluate_selection_with_parallelism(
 
 #[cfg(test)]
 mod tests {
-    // These tests pin the legacy shim's behaviour (the session API has its
-    // own suite in `session.rs` and `tests/session_api.rs`).
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::session::{Session, SolveRun};
     use flowmax_graph::{GraphBuilder, Probability, Weight};
 
     fn p(v: f64) -> Probability {
@@ -358,11 +197,22 @@ mod tests {
         b.build()
     }
 
+    fn run(g: &ProbabilisticGraph, algorithm: Algorithm, budget: usize) -> SolveRun<'_> {
+        Session::new(g)
+            .with_seed(1)
+            .query(VertexId(0))
+            .unwrap()
+            .algorithm(algorithm)
+            .budget(budget)
+            .run()
+            .unwrap()
+    }
+
     #[test]
     fn all_algorithms_run_and_respect_budget() {
         let g = graph();
         for alg in Algorithm::all() {
-            let r = solve(&g, VertexId(0), &SolverConfig::paper(alg, 3, 1));
+            let r = run(&g, alg, 3);
             assert!(r.selected.len() <= 3, "{} overspent", alg.name());
             assert!(r.flow > 0.0, "{} found no flow", alg.name());
             assert!(r.flow <= g.total_weight() + 1e-9);
@@ -372,12 +222,8 @@ mod tests {
     #[test]
     fn ft_beats_or_matches_dijkstra_here() {
         let g = graph();
-        let ft = solve(&g, VertexId(0), &SolverConfig::paper(Algorithm::FtM, 3, 1));
-        let dj = solve(
-            &g,
-            VertexId(0),
-            &SolverConfig::paper(Algorithm::Dijkstra, 3, 1),
-        );
+        let ft = run(&g, Algorithm::FtM, 3);
+        let dj = run(&g, Algorithm::Dijkstra, 3);
         assert!(
             ft.flow >= dj.flow - 1e-9,
             "FT {} vs Dijkstra {}",
@@ -422,19 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn both_ci_engines_run_and_stay_deterministic() {
-        let g = graph();
-        for engine in [CiEngine::BatchedRace, CiEngine::ScalarReference] {
-            let mut cfg = SolverConfig::paper(Algorithm::FtMCiDs, 3, 11);
-            cfg.ci_engine = engine;
-            let a = solve(&g, VertexId(0), &cfg);
-            let b = solve(&g, VertexId(0), &cfg);
-            assert_eq!(a.selected, b.selected, "{engine:?} not deterministic");
-            assert!(a.flow > 0.0);
-        }
-    }
-
-    #[test]
     fn algorithm_names_roundtrip() {
         for alg in Algorithm::all() {
             assert_eq!(Algorithm::parse(alg.name()), Some(alg));
@@ -445,7 +278,7 @@ mod tests {
     #[test]
     fn elapsed_and_metrics_populated() {
         let g = graph();
-        let r = solve(&g, VertexId(0), &SolverConfig::paper(Algorithm::Ft, 3, 1));
+        let r = run(&g, Algorithm::Ft, 3);
         assert!(r.metrics.probes > 0);
         assert!(r.elapsed.as_nanos() > 0);
     }

@@ -26,6 +26,29 @@ use crate::weight::Weight;
 
 const HEADER: &str = "flowmax-graph v1";
 
+/// Most vertices (and, separately, edges) [`read_text`] pre-allocates for
+/// from the header's counts. The counts are untrusted: a 40-byte file can
+/// declare 10¹⁸ edges, so larger graphs grow their buffers as lines
+/// actually arrive.
+const MAX_PREALLOCATION: usize = 1 << 20;
+
+/// Parses one whitespace-separated field of line `line`.
+fn parse_field<T>(tok: Option<&str>, line: usize, what: &str) -> Result<T, GraphError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    tok.ok_or_else(|| GraphError::Parse {
+        line,
+        message: format!("missing {what}"),
+    })?
+    .parse()
+    .map_err(|e| GraphError::Parse {
+        line,
+        message: format!("bad {what}: {e}"),
+    })
+}
+
 /// Writes `graph` in the `flowmax-graph v1` text format.
 pub fn write_text<W: Write>(graph: &ProbabilisticGraph, mut out: W) -> std::io::Result<()> {
     writeln!(out, "{HEADER}")?;
@@ -77,21 +100,13 @@ pub fn read_text<R: BufRead>(input: R) -> Result<ProbabilisticGraph, GraphError>
 
     let (n, counts) = next_line("counts")?;
     let mut it = counts.split_whitespace();
-    let parse_usize = |tok: Option<&str>, line: usize, what: &str| -> Result<usize, GraphError> {
-        tok.ok_or_else(|| GraphError::Parse {
-            line,
-            message: format!("missing {what}"),
-        })?
-        .parse()
-        .map_err(|e| GraphError::Parse {
-            line,
-            message: format!("bad {what}: {e}"),
-        })
-    };
-    let vertex_count = parse_usize(it.next(), n, "vertex count")?;
-    let edge_count = parse_usize(it.next(), n, "edge count")?;
+    let vertex_count: usize = parse_field(it.next(), n, "vertex count")?;
+    let edge_count: usize = parse_field(it.next(), n, "edge count")?;
 
-    let mut builder = GraphBuilder::with_capacity(vertex_count, edge_count);
+    let mut builder = GraphBuilder::with_capacity(
+        vertex_count.min(MAX_PREALLOCATION),
+        edge_count.min(MAX_PREALLOCATION),
+    );
     for _ in 0..vertex_count {
         let (ln, s) = next_line("vertex weight")?;
         let w: f64 = s.parse().map_err(|e| GraphError::Parse {
@@ -103,8 +118,10 @@ pub fn read_text<R: BufRead>(input: R) -> Result<ProbabilisticGraph, GraphError>
     for _ in 0..edge_count {
         let (ln, s) = next_line("edge")?;
         let mut it = s.split_whitespace();
-        let u = parse_usize(it.next(), ln, "edge source")?;
-        let v = parse_usize(it.next(), ln, "edge target")?;
+        // Vertex ids are `u32`: a wider endpoint is a parse error, not a
+        // silently truncated id.
+        let u: u32 = parse_field(it.next(), ln, "edge source")?;
+        let v: u32 = parse_field(it.next(), ln, "edge target")?;
         let p: f64 = it
             .next()
             .ok_or_else(|| GraphError::Parse {
@@ -116,11 +133,7 @@ pub fn read_text<R: BufRead>(input: R) -> Result<ProbabilisticGraph, GraphError>
                 line: ln,
                 message: format!("bad probability: {e}"),
             })?;
-        builder.add_edge(
-            VertexId::from_index(u),
-            VertexId::from_index(v),
-            Probability::new(p)?,
-        )?;
+        builder.add_edge(VertexId(u), VertexId(v), Probability::new(p)?)?;
     }
     Ok(builder.build())
 }
@@ -227,6 +240,29 @@ mod tests {
         let text = "flowmax-graph v1\n2 1\n1\n1\n0 1\n";
         let err = read_text(Cursor::new(text)).unwrap_err();
         assert!(matches!(err, GraphError::Parse { .. }));
+    }
+
+    #[test]
+    fn rejects_out_of_range_endpoint() {
+        // 2³² + 1 would truncate to vertex 1 if narrowed unchecked.
+        let text = "flowmax-graph v1\n2 1\n1\n1\n4294967297 0 0.5\n";
+        let err = read_text(Cursor::new(text)).unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 5, .. }), "{err:?}");
+        let text = "flowmax-graph v1\n2 1\n1\n1\n0 4294967297 0.5\n";
+        let err = read_text(Cursor::new(text)).unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 5, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn hostile_header_counts_fail_without_allocating() {
+        for text in [
+            "flowmax-graph v1\n1 4000000000000000000\n1\n",
+            "flowmax-graph v1\n1 10000000000000\n1\n",
+            "flowmax-graph v1\n4000000000000000000 0\n1\n",
+        ] {
+            let err = read_text(Cursor::new(text)).unwrap_err();
+            assert!(matches!(err, GraphError::Parse { .. }), "{err:?}");
+        }
     }
 
     #[test]

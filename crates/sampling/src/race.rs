@@ -15,8 +15,8 @@
 //! * [`IncrementalComponent`] — a component estimate that *extends* across
 //!   rounds: worlds `[drawn, target)` are appended to the running success
 //!   counts, so a candidate surviving to budget `S` costs exactly `S`
-//!   samples in total (the scalar reference race re-samples from scratch at
-//!   every cumulative budget). Because world `i` always draws from
+//!   samples in total (re-probing from scratch would pay every cumulative
+//!   budget again). Because world `i` always draws from
 //!   `seq.rng(i)`, the estimate after any extension is bit-identical to a
 //!   fresh full-budget run with the same stream — independent of round
 //!   boundaries and thread counts.
@@ -91,9 +91,8 @@ impl RaceConfig {
     }
 
     /// The race's cumulative round ladder: the schedule's
-    /// [`cumulative_budgets`](BatchSchedule::cumulative_budgets) — the same
-    /// ladder the scalar reference race climbs — quantized to whole batches
-    /// and deduplicated (strictly increasing, ending at
+    /// [`cumulative_budgets`](BatchSchedule::cumulative_budgets), quantized
+    /// to whole batches and deduplicated (strictly increasing, ending at
     /// [`budget_cap`](RaceConfig::budget_cap)).
     pub fn ladder(&self) -> Vec<u32> {
         let mut ladder: Vec<u32> = self

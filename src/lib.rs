@@ -65,11 +65,8 @@ pub mod prelude {
     pub use flowmax_core::{
         evaluate_selection, exact_max_flow, greedy_select, Algorithm, EstimatorConfig, FTree,
         FlowServer, GreedyConfig, QueryBuilder, QueryParams, QuerySpec, SamplingProvider,
-        SelectionObserver, SelectionStep, ServeConfig, ServeEvent, Session, SessionState,
-        SolveResult, SolveRun,
+        SelectionObserver, SelectionStep, ServeConfig, ServeEvent, Session, SessionState, SolveRun,
     };
-    #[allow(deprecated)]
-    pub use flowmax_core::{solve, SolverConfig};
     pub use flowmax_datasets::{suggest_query, DatasetSpec};
     pub use flowmax_graph::{
         EdgeId, EdgeSubset, GraphBuilder, ProbabilisticGraph, Probability, VertexId, Weight,

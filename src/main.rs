@@ -12,18 +12,38 @@
 //! Graphs use the `flowmax-graph v1` text format (see `flowmax::graph::io`);
 //! `generate` writes one to stdout so the commands compose. Unknown options
 //! are rejected (not silently ignored), and `solve` streams per-iteration
-//! selection steps with `--trace`.
+//! selection steps with `--trace`. A reader that closes stdout early (say
+//! `| head -1`) ends the command cleanly.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
-use flowmax::core::{exact_max_flow, Algorithm, CiEngine, SelectionStep, Session};
+use flowmax::core::{exact_max_flow, Algorithm, CancelToken, RunControl, SelectionStep, Session};
 use flowmax::datasets::{
     CollaborationConfig, ErdosConfig, PartitionedConfig, PreferentialConfig, RoadConfig,
     SocialCircleConfig, WsnConfig,
 };
 use flowmax::graph::{io as gio, EdgeSubset, GraphStats, ProbabilisticGraph, VertexId};
+
+/// Why a command failed: a message for the user, or a failed write to
+/// stdout (a closed pipe is not an error; see `main`).
+enum CliError {
+    Message(String),
+    Stdout(io::Error),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Message(msg)
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Stdout(e)
+    }
+}
 
 struct Args {
     values: Vec<(String, String)>,
@@ -105,18 +125,20 @@ fn load_graph(path: &str) -> Result<ProbabilisticGraph, String> {
     gio::read_text(BufReader::new(file)).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn cmd_stats(args: &Args) -> Result<(), String> {
+fn cmd_stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let graph = load_graph(args.require("graph")?)?;
-    println!("{}", GraphStats::compute(&graph));
+    writeln!(out, "{}", GraphStats::compute(&graph))?;
     Ok(())
 }
 
-fn cmd_solve(args: &Args) -> Result<(), String> {
+fn cmd_solve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let graph = load_graph(args.require("graph")?)?;
     let query = VertexId(args.parse_opt("query", 0u32)?);
     let budget: usize = args.parse_opt("budget", 10)?;
     if budget == 0 {
-        return Err("--budget must be at least 1 (k edges to select)".to_string());
+        return Err(CliError::Message(
+            "--budget must be at least 1 (k edges to select)".to_string(),
+        ));
     }
     let algorithm: Algorithm = args
         .get("algorithm")
@@ -133,19 +155,6 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
     // same story as `FLOWMAX_LANES` and `Session::with_lane_words`.
     let lane_words: usize = args.parse_opt("lanes", flowmax::sampling::default_lane_words())?;
     let lane_words = flowmax::sampling::clamp_lane_words(lane_words, "--lanes");
-    // §6.3 race engine for the CI variants: "batched" (default) drives
-    // rounds as multi-candidate jobs on the parallel sampler; "scalar" is
-    // the pinned reference race. Case-insensitive.
-    let ci_engine = match args
-        .get("ci-race")
-        .unwrap_or("batched")
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "batched" => CiEngine::BatchedRace,
-        "scalar" => CiEngine::ScalarReference,
-        other => return Err(format!("unknown --ci-race {other:?} (batched, scalar)")),
-    };
 
     // Worker threads shard the batched sampling engine; results are
     // identical at any thread count, only wall-clock time changes.
@@ -159,33 +168,47 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         .algorithm(algorithm)
         .budget(budget)
         .samples(args.parse_opt("samples", 1000u32)?)
-        .include_query(args.has_flag("include-query"))
-        .ci_engine(ci_engine);
+        .include_query(args.has_flag("include-query"));
     let result = if args.has_flag("trace") {
         // Stream each committed edge as the greedy loop runs — the anytime
-        // view: the first k lines are the answer for budget k.
-        builder.run_with(&mut |step: &SelectionStep| {
-            let (a, b) = graph.endpoints(step.edge);
-            println!(
-                "iter {:>3}: edge {} ({} -- {})  gain {:+.4}  flow {:.4}  pool {}",
-                step.iteration, step.edge, a, b, step.gain, step.flow, step.pool
-            );
-        })
+        // view: the first k lines are the answer for budget k. A failed
+        // write cancels the run at the next iteration boundary.
+        let cancel = CancelToken::new();
+        let mut write_error = None;
+        let run = builder.run_controlled_with(
+            &RunControl::unlimited().with_cancel(cancel.clone()),
+            &mut |step: &SelectionStep| {
+                let (a, b) = graph.endpoints(step.edge);
+                if let Err(e) = writeln!(
+                    out,
+                    "iter {:>3}: edge {} ({} -- {})  gain {:+.4}  flow {:.4}  pool {}",
+                    step.iteration, step.edge, a, b, step.gain, step.flow, step.pool
+                ) {
+                    write_error = Some(e);
+                    cancel.cancel();
+                }
+            },
+        );
+        if let Some(e) = write_error {
+            return Err(e.into());
+        }
+        run
     } else {
         builder.run()
     }
     .map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "algorithm={} budget={} selected={} flow={:.6} time={:.3?}",
         algorithm.name(),
         budget,
         result.selected.len(),
         result.flow,
         result.elapsed
-    );
+    )?;
     for &e in &result.selected {
         let (a, b) = graph.endpoints(e);
-        println!("  edge {e}: {a} -- {b} (p={})", graph.probability(e));
+        writeln!(out, "  edge {e}: {a} -- {b} (p={})", graph.probability(e))?;
     }
     if let Some(dot_path) = args.get("dot") {
         let subset = EdgeSubset::from_edges(graph.edge_count(), result.selected.iter().copied());
@@ -194,27 +217,28 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         gio::write_dot(&graph, Some(&subset), &mut w)
             .and_then(|_| w.flush())
             .map_err(|e| format!("cannot write {dot_path}: {e}"))?;
-        println!("wrote DOT with highlighted selection to {dot_path}");
+        writeln!(out, "wrote DOT with highlighted selection to {dot_path}")?;
     }
     Ok(())
 }
 
-fn cmd_exact(args: &Args) -> Result<(), String> {
+fn cmd_exact(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let graph = load_graph(args.require("graph")?)?;
     let query = VertexId(args.parse_opt("query", 0u32)?);
     let budget: usize = args.parse_opt("budget", 5)?;
     let sol = exact_max_flow(&graph, query, budget, args.has_flag("include-query"))
         .map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "exact optimum: flow={:.6} edges={:?} ({} subsets evaluated)",
         sol.flow,
         sol.edges.iter().map(|e| e.0).collect::<Vec<_>>(),
         sol.subsets_evaluated
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_generate(args: &Args) -> Result<(), String> {
+fn cmd_generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let dataset = args.require("dataset")?;
     let seed: u64 = args.parse_opt("seed", 42)?;
     let vertices: usize = args.parse_opt("vertices", 1000)?;
@@ -241,14 +265,13 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
             return Err(format!(
                 "unknown dataset {other:?} (erdos, partitioned, wsn, road, social-circle, \
                  collaboration, preferential)"
-            ))
+            )
+            .into())
         }
     };
-    let stdout = std::io::stdout();
-    let mut out = BufWriter::new(stdout.lock());
-    gio::write_text(&graph, &mut out)
-        .and_then(|_| out.flush())
-        .map_err(|e| e.to_string())?;
+    let mut out = BufWriter::new(out);
+    gio::write_text(&graph, &mut out)?;
+    out.flush()?;
     Ok(())
 }
 
@@ -258,8 +281,7 @@ flowmax — budgeted information-flow maximization in probabilistic graphs
 USAGE:
   flowmax solve    --graph <file> [--query N] [--budget K] [--algorithm NAME]
                    [--samples N] [--seed N] [--threads N] [--lanes 1|4|8]
-                   [--include-query] [--ci-race batched|scalar] [--trace]
-                   [--dot <file>]
+                   [--include-query] [--trace] [--dot <file>]
   flowmax exact    --graph <file> [--query N] [--budget K] [--include-query]
   flowmax stats    --graph <file>
   flowmax generate --dataset <name> [--vertices N] [--degree D] [--seed N]
@@ -281,7 +303,6 @@ fn allowed_options(command: &str) -> Option<(&'static [&'static str], &'static [
                 "seed",
                 "threads",
                 "lanes",
-                "ci-race",
                 "dot",
             ],
             &["include-query", "trace"],
@@ -299,27 +320,37 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::from(2);
     };
+    let stdout = io::stdout();
+    let mut out = stdout.lock();
     let result = match command.as_str() {
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => write!(out, "{USAGE}").map_err(CliError::from),
         cmd => match allowed_options(cmd) {
-            None => Err(format!("unknown command {cmd:?}\n{USAGE}")),
-            Some((values, flags)) => {
-                Args::parse(&raw[1..], values, flags).and_then(|args| match cmd {
-                    "solve" => cmd_solve(&args),
-                    "exact" => cmd_exact(&args),
-                    "stats" => cmd_stats(&args),
-                    "generate" => cmd_generate(&args),
+            None => Err(format!("unknown command {cmd:?}\n{USAGE}").into()),
+            Some((values, flags)) => match Args::parse(&raw[1..], values, flags) {
+                Err(msg) => Err(msg.into()),
+                Ok(args) => match cmd {
+                    "solve" => cmd_solve(&args, &mut out),
+                    "exact" => cmd_exact(&args, &mut out),
+                    "stats" => cmd_stats(&args, &mut out),
+                    "generate" => cmd_generate(&args, &mut out),
                     _ => unreachable!("allowed_options covers exactly the commands"),
-                })
-            }
+                },
+            },
         },
     };
+    // Output still buffered in the line writer is flushed here, so a late
+    // write error is reported like any other.
+    let result = result.and_then(|()| out.flush().map_err(CliError::from));
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // The reader went away (`flowmax solve ... | head -1`): nothing
+        // left to say and no one to say it to.
+        Err(CliError::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(CliError::Stdout(e)) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::from(1)
+        }
+        Err(CliError::Message(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::from(1)
         }

@@ -1,23 +1,21 @@
 //! Differential pinning of the incremental greedy engine (the `O(touched)`
-//! iteration) against both reference engines over random graphs, budgets
-//! and seeds.
+//! iteration) against its oracle over random graphs, budgets and seeds.
 //!
-//! Three engines run every selection:
+//! Two engines run every selection:
 //!
 //! * **incremental** — `base + Δ(touched)` flow accounting, replay-based
 //!   commits, the versioned candidate bitmap (the default);
-//! * **journal reference** — `.with_incremental(false)`: full-tree flow
-//!   re-aggregation and `insert_edge` commits (the PR-5 engine);
-//! * **cloning reference** — additionally `.with_cloning_probes()`: the
-//!   original clone-per-probe engine.
+//! * **clone reference** — `ProbeEngine::CloneReference`: one F-tree
+//!   clone per structural probe, full-tree flow re-aggregation and
+//!   `insert_edge` commits.
 //!
-//! All three must agree **bit for bit** — same selections, same per-step
-//! flows, same per-step memoization-hit counts — under both confidence-
-//! interval race engines and at 1 and 8 sampling threads. Any divergence in
-//! the touched-set flow delta, the replay commit, or the bitmap-maintained
-//! probe pool shows up here as a first-divergence step report.
+//! Both must agree **bit for bit** — same selections, same per-step flows,
+//! same per-step memoization-hit counts — under every heuristic stack and
+//! at 1 and 8 sampling threads. Any divergence in the touched-set flow
+//! delta, the replay commit, or the bitmap-maintained probe pool shows up
+//! here as a first-divergence step report.
 
-use flowmax::core::{greedy_select_observed, CiEngine, GreedyConfig, SelectionStep};
+use flowmax::core::{greedy_select_observed, GreedyConfig, ProbeEngine, SelectionStep};
 use flowmax::graph::{GraphBuilder, ProbabilisticGraph, Probability, VertexId, Weight};
 use proptest::prelude::*;
 
@@ -116,25 +114,13 @@ fn trace(graph: &ProbabilisticGraph, config: &GreedyConfig) -> Trace {
     }
 }
 
-/// The three engine configurations differentiated by this harness.
-fn engines(base: &GreedyConfig) -> [(&'static str, GreedyConfig); 3] {
-    [
-        ("incremental", base.with_incremental(true)),
-        ("journal-reference", base.with_incremental(false)),
-        (
-            "cloning-reference",
-            base.with_incremental(false).with_cloning_probes(),
-        ),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The headline differential property: for every heuristic stack, every
-    /// CI race engine and both thread counts, the incremental engine's full
-    /// trace (selections, per-step flow bits, per-step memo hits, probe
-    /// counts) is identical to both reference engines'.
+    /// The headline differential property: for every heuristic stack and
+    /// both thread counts, the incremental engine's full trace (selections,
+    /// per-step flow bits, per-step memo hits, probe counts) is identical
+    /// to the clone reference's.
     #[test]
     fn engines_agree_bit_for_bit(
         (spec, budget, seed) in (graph_spec(), 1usize..7, 0u64..1_000_000)
@@ -143,33 +129,21 @@ proptest! {
         let stacks = [
             GreedyConfig::ft(budget, 48),
             GreedyConfig::ft(budget, 48).with_memo(),
+            GreedyConfig::ft(budget, 48).with_memo().with_ci(),
+            GreedyConfig::ft(budget, 48).with_memo().with_ds(),
             GreedyConfig::ft(budget, 48).with_memo().with_ci().with_ds(),
         ];
         for stack in stacks {
-            let ci_engines: &[CiEngine] = if stack.confidence_pruning {
-                &[CiEngine::BatchedRace, CiEngine::ScalarReference]
-            } else {
-                &[CiEngine::BatchedRace]
-            };
-            for &ci_engine in ci_engines {
-                for threads in [1usize, 8] {
-                    let base = GreedyConfig {
-                        seed,
-                        threads,
-                        ci_engine,
-                        ..stack
-                    };
-                    let [(_, inc), (_, journal), (_, cloning)] = engines(&base);
-                    let reference = trace(&g, &journal);
-                    for (name, cfg) in [("incremental", inc), ("cloning-reference", cloning)] {
-                        let t = trace(&g, &cfg);
-                        prop_assert_eq!(
-                            &t, &reference,
-                            "{} diverged from journal-reference (ci={:?}, threads={})",
-                            name, ci_engine, threads
-                        );
-                    }
-                }
+            for threads in [1usize, 8] {
+                let base = GreedyConfig { seed, threads, ..stack };
+                let incremental = trace(&g, &base);
+                let reference =
+                    trace(&g, &base.with_probe_engine(ProbeEngine::CloneReference));
+                prop_assert_eq!(
+                    &incremental, &reference,
+                    "incremental diverged from clone-reference (threads={})",
+                    threads
+                );
             }
         }
     }

@@ -134,3 +134,45 @@ fn evaluation_flow_tracks_algorithm_flow() {
         r.algorithm_flow
     );
 }
+
+/// `flowmax solve --trace | head -1`: the reader closes stdout after the
+/// first step, and the CLI must end cleanly instead of panicking on the
+/// broken pipe.
+#[test]
+fn cli_exits_cleanly_when_stdout_closes_early() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join(format!("flowmax-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("g.txt");
+    let graph = ErdosConfig::paper(2000, 6.0).generate(5);
+    let mut file = std::fs::File::create(&path).unwrap();
+    flowmax::graph::io::write_text(&graph, &mut file).unwrap();
+    drop(file);
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_flowmax"))
+        .args(["solve", "--graph"])
+        .arg(&path)
+        .args(["--budget", "300", "--samples", "100", "--trace"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    // The reader is dropped here: the pipe's read end closes.
+    let output = child.wait_with_output().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert!(first.starts_with("iter   0:"), "first line: {first:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(
+        output.status.success(),
+        "status {:?}, stderr: {stderr}",
+        output.status
+    );
+}

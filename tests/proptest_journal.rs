@@ -5,7 +5,7 @@
 //! score every candidate exactly like the pinned clone-based reference.
 
 use flowmax::core::{
-    greedy_select, EstimateProvider, EstimatorConfig, FTree, GreedyConfig, ProbePlan,
+    greedy_select, EstimateProvider, EstimatorConfig, FTree, GreedyConfig, ProbeEngine, ProbePlan,
     SamplingProvider,
 };
 use flowmax::graph::{EdgeId, GraphBuilder, ProbabilisticGraph, Probability, VertexId, Weight};
@@ -198,10 +198,10 @@ proptest! {
         }
     }
 
-    /// End to end: greedy selections with the journal engine are
-    /// bit-identical to the pinned clone-based engine across the heuristic
-    /// stacks (the clone path *is* the pre-journal code, so this pins the
-    /// whole selection behaviour to `main`'s).
+    /// End to end: greedy selections with the default engine are
+    /// bit-identical to the clone-based reference engine across the
+    /// heuristic stacks (the clone path *is* the pre-journal code, so this
+    /// pins the whole selection behaviour to it).
     #[test]
     fn selections_are_bit_identical_to_the_cloning_reference(spec in graph_spec()) {
         let g = build(&spec);
@@ -214,7 +214,11 @@ proptest! {
         ];
         for cfg in configs {
             let journal_run = greedy_select(&g, query, &cfg);
-            let clone_run = greedy_select(&g, query, &cfg.with_cloning_probes());
+            let clone_run = greedy_select(
+                &g,
+                query,
+                &cfg.with_probe_engine(ProbeEngine::CloneReference),
+            );
             prop_assert_eq!(&journal_run.selected, &clone_run.selected);
             prop_assert_eq!(journal_run.final_flow.to_bits(), clone_run.final_flow.to_bits());
             prop_assert_eq!(&journal_run.flow_trace, &clone_run.flow_trace);

@@ -1,11 +1,11 @@
 //! The session API's contract tests: the anytime prefix property (one run
 //! at budget `K` answers every budget `≤ K` exactly as independent runs
-//! would), `run_many` bit-identity at every thread count, streaming step
-//! events, and the legacy `solve` shim's bit-compatibility.
+//! would), `run_many` bit-identity at every thread count, and streaming
+//! step events.
 
 use flowmax::core::{Algorithm, SelectionStep, Session, SolveRun};
 use flowmax::datasets::{suggest_query, ErdosConfig, PartitionedConfig};
-use flowmax::graph::{EdgeId, ProbabilisticGraph, VertexId};
+use flowmax::graph::{ProbabilisticGraph, VertexId};
 
 fn erdos(seed: u64) -> ProbabilisticGraph {
     ErdosConfig::paper(120, 5.0).generate(seed)
@@ -223,37 +223,4 @@ fn warm_pool_and_thread_count_never_leak_into_run_many() {
 
     assert_eq!(batch(8), fresh, "warm pool changed run_many results");
     assert_eq!(batch(1), fresh, "thread count leaked into results");
-}
-
-/// The deprecated `solve` shim returns the same selections (as a set — its
-/// legacy output order is ascending edge ids for the F-tree algorithms),
-/// flows, and metrics as the session API, for every algorithm.
-#[test]
-#[allow(deprecated)]
-fn legacy_solve_shim_is_bit_identical_to_the_session() {
-    use flowmax::core::{solve, SolverConfig};
-    let g = erdos(35);
-    let q = suggest_query(&g);
-    let session = Session::new(&g).with_seed(3);
-    for alg in Algorithm::all() {
-        let mut cfg = SolverConfig::paper(alg, 6, 3);
-        cfg.samples = 150;
-        let legacy = solve(&g, q, &cfg);
-        let run = session
-            .query(q)
-            .unwrap()
-            .algorithm(alg)
-            .budget(6)
-            .samples(150)
-            .run()
-            .unwrap();
-        let mut session_sorted: Vec<EdgeId> = run.selected.clone();
-        session_sorted.sort_unstable();
-        let mut legacy_sorted = legacy.selected.clone();
-        legacy_sorted.sort_unstable();
-        assert_eq!(legacy_sorted, session_sorted, "{}", alg.name());
-        assert_eq!(legacy.flow, run.flow, "{}", alg.name());
-        assert_eq!(legacy.algorithm_flow, run.algorithm_flow, "{}", alg.name());
-        assert_eq!(legacy.metrics, run.metrics, "{}", alg.name());
-    }
 }
