@@ -3,12 +3,12 @@
 //!
 //! Every probe samples the entire candidate subgraph `E_i ∪ {e}` (1000
 //! worlds by default) — the cost and variance the F-tree exists to avoid.
-//! Probes run on the bit-parallel [`ParallelEstimator`] engine: 64 worlds
+//! Probes run on the bit-parallel [`ParallelEstimator`] engine: 512 worlds
 //! per traversal, optionally sharded across threads, with each probe seeded
 //! by its own probe counter so results are thread-count invariant.
 
 use flowmax_graph::{EdgeId, EdgeSubset, ProbabilisticGraph, VertexId};
-use flowmax_sampling::{default_lane_words, default_threads, ParallelEstimator, SeedSequence};
+use flowmax_sampling::{default_threads, ParallelEstimator, SeedSequence};
 
 use crate::metrics::SelectionMetrics;
 use crate::selection::candidates::CandidateSet;
@@ -28,9 +28,6 @@ pub struct NaiveConfig {
     pub seed: u64,
     /// Worker threads for probe sampling (results do not depend on this).
     pub threads: usize,
-    /// Lane width for probe sampling, in 64-world lane words per BFS block
-    /// (supported widths 1, 4, 8; results do not depend on this).
-    pub lane_words: usize,
 }
 
 impl NaiveConfig {
@@ -43,20 +40,12 @@ impl NaiveConfig {
             include_query: false,
             seed,
             threads: default_threads(),
-            lane_words: default_lane_words(),
         }
     }
 
     /// Overrides the worker count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Overrides the sampling lane width (64-world lane words per BFS
-    /// block). Bit-identical results at every supported width.
-    pub fn with_lane_words(mut self, lane_words: usize) -> Self {
-        self.lane_words = lane_words;
         self
     }
 }
@@ -79,7 +68,7 @@ pub fn naive_select_observed(
     config: &NaiveConfig,
     observer: &mut dyn SelectionObserver,
 ) -> SelectionOutcome {
-    let engine = ParallelEstimator::new(config.threads).with_lane_words(config.lane_words);
+    let engine = ParallelEstimator::new(config.threads);
     // One child sequence per probe: probe `i` is a pure function of
     // `(seed, i)` no matter how many workers sample its batches.
     let probe_seq = SeedSequence::new(SeedSequence::new(config.seed).child_seed(0xBA5E));

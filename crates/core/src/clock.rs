@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 ///
 /// Never branch on this value to pick *what* is computed in library code:
 /// results must be a pure function of `(graph, query spec, seed)`, and the
-/// determinism suite (bit-identity at every thread count × lane width) is
+/// determinism suite (bit-identity at every thread count) is
 /// the oracle. Branching on *how far* an anytime run proceeds
 /// ([`SoftDeadline`]) is the one sanctioned exception.
 #[inline]

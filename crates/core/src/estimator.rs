@@ -90,33 +90,33 @@ impl SamplingProvider {
         Self::with_threads(config, seed, default_threads())
     }
 
-    /// Creates a provider with an explicit worker count and the ambient
-    /// `FLOWMAX_LANES` lane width.
+    /// Creates a provider with an explicit worker count. Results never
+    /// depend on it — only wall-clock time does.
     pub fn with_threads(config: EstimatorConfig, seed: u64, threads: usize) -> Self {
-        Self::with_parallelism(
+        SamplingProvider {
             config,
-            seed,
-            threads,
-            flowmax_sampling::default_lane_words(),
-        )
+            seq: SeedSequence::new(SeedSequence::new(seed).child_seed(0xC0FFEE)),
+            calls: 0,
+            engine: ParallelEstimator::new(threads),
+            metrics: SelectionMetrics::default(),
+        }
     }
 
-    /// Creates a provider with explicit worker count and lane width
-    /// (64-world lane words per BFS block; supported widths 1, 4, 8).
-    /// Results never depend on either — only wall-clock time does.
+    /// Kept for perfbench, which names the lane width it measures:
+    /// [`SamplingProvider::with_threads`] that accepts only
+    /// [`flowmax_sampling::LANE_WORDS`] and panics on any other width.
     pub fn with_parallelism(
         config: EstimatorConfig,
         seed: u64,
         threads: usize,
         lane_words: usize,
     ) -> Self {
-        SamplingProvider {
-            config,
-            seq: SeedSequence::new(SeedSequence::new(seed).child_seed(0xC0FFEE)),
-            calls: 0,
-            engine: ParallelEstimator::new(threads).with_lane_words(lane_words),
-            metrics: SelectionMetrics::default(),
-        }
+        assert_eq!(
+            lane_words,
+            flowmax_sampling::LANE_WORDS,
+            "the lane width is fixed"
+        );
+        Self::with_threads(config, seed, threads)
     }
 
     /// The active configuration.

@@ -91,7 +91,4 @@ pub use serve::{
 pub use session::{
     QueryBuilder, QuerySpec, Session, SessionState, SolveRun, DEFAULT_SPANNING_CACHE_CAPACITY,
 };
-pub use solver::{
-    evaluate_selection, evaluate_selection_with_parallelism, evaluate_selection_with_threads,
-    Algorithm,
-};
+pub use solver::{evaluate_selection, evaluate_selection_with_threads, Algorithm};

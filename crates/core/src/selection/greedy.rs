@@ -71,10 +71,6 @@ pub struct GreedyConfig {
     /// Worker threads for component sampling (results do not depend on
     /// this; see `flowmax_sampling::ParallelEstimator`).
     pub threads: usize,
-    /// Lane width for component sampling, in 64-world lane words per BFS
-    /// block (supported widths 1, 4, 8; results do not depend on this —
-    /// see `flowmax_sampling::ParallelEstimator::with_lane_words`).
-    pub lane_words: usize,
     /// The probe/commit engine (default: [`ProbeEngine::Incremental`]).
     /// Results are bit-identical under either engine.
     pub probe_engine: ProbeEngine,
@@ -96,7 +92,6 @@ impl GreedyConfig {
             include_query: false,
             seed,
             threads: flowmax_sampling::default_threads(),
-            lane_words: flowmax_sampling::default_lane_words(),
             probe_engine: ProbeEngine::Incremental,
         }
     }
@@ -110,13 +105,6 @@ impl GreedyConfig {
     /// Overrides the worker count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Overrides the sampling lane width (64-world lane words per BFS
-    /// block). Bit-identical results at every supported width.
-    pub fn with_lane_words(mut self, lane_words: usize) -> Self {
-        self.lane_words = lane_words;
         self
     }
 
@@ -202,12 +190,7 @@ pub fn greedy_select_controlled(
         exact_edge_cap: config.exact_edge_cap,
         samples: config.samples,
     };
-    let inner = SamplingProvider::with_parallelism(
-        estimator,
-        config.seed,
-        config.threads,
-        config.lane_words,
-    );
+    let inner = SamplingProvider::with_threads(estimator, config.seed, config.threads);
     let mut provider = MemoProvider::new(inner, config.memoize);
     let mut tree = FTree::new(graph, query);
     // Cloned probe trees carry no flow cache, so only the incremental

@@ -60,7 +60,7 @@ impl RaceDriver {
     pub fn new(config: &GreedyConfig) -> Self {
         RaceDriver {
             lanes: HashMap::new(),
-            engine: ParallelEstimator::new(config.threads).with_lane_words(config.lane_words),
+            engine: ParallelEstimator::new(config.threads),
             seq: SeedSequence::new(SeedSequence::new(config.seed).child_seed(RACE_STREAM)),
             memoize: config.memoize,
         }

@@ -62,10 +62,6 @@ pub struct ServeConfig {
     /// Sampling worker threads per executing batch (0 is clamped to 1
     /// with the process-wide warning, like everywhere else).
     pub threads: usize,
-    /// Sampling lane width, in 64-world lane words per BFS block
-    /// (supported widths 1, 4, 8; others clamped to 1 with the
-    /// process-wide warning). Results never depend on this.
-    pub lane_words: usize,
     /// Graphs kept resident (LRU beyond this; at least 1).
     pub max_resident_graphs: usize,
     /// Bounded admission queue capacity (at least 1). A submit against a
@@ -90,7 +86,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             threads: flowmax_sampling::default_threads(),
-            lane_words: flowmax_sampling::default_lane_words(),
             max_resident_graphs: 4,
             queue_capacity: 64,
             coalesce_max: 16,
@@ -352,7 +347,6 @@ impl FlowServer {
     /// Starts a server (and its dispatcher thread) with `config`.
     pub fn new(mut config: ServeConfig) -> Self {
         config.threads = flowmax_sampling::clamp_threads(config.threads, "FlowServer");
-        config.lane_words = flowmax_sampling::clamp_lane_words(config.lane_words, "FlowServer");
         config.max_resident_graphs = config.max_resident_graphs.max(1);
         config.queue_capacity = config.queue_capacity.max(1);
         config.coalesce_max = config.coalesce_max.max(1);
@@ -631,7 +625,6 @@ fn execute_batch(inner: &Inner, batch: &[Pending]) {
     let resident = &batch[0].graph;
     let session = Session::new(&resident.graph)
         .with_threads(inner.config.threads)
-        .with_lane_words(inner.config.lane_words)
         .with_seed(inner.config.seed)
         .with_state(Arc::clone(&resident.state));
     // The vertex was validated at submit, but a request path never panics

@@ -55,7 +55,7 @@ use crate::estimator::EstimatorConfig;
 use crate::metrics::SelectionMetrics;
 use crate::selection::greedy::{greedy_select_controlled, GreedyConfig, ProbeEngine};
 use crate::selection::observer::{NoObserver, SelectionObserver, SelectionStep};
-use crate::solver::{evaluate_selection_with_parallelism, Algorithm};
+use crate::solver::{evaluate_selection_with_threads, Algorithm};
 
 /// Seed-stream tag separating the shared evaluator's randomness from the
 /// selection's.
@@ -174,7 +174,6 @@ impl Default for SessionState {
 pub struct Session<'g> {
     graph: &'g ProbabilisticGraph,
     threads: usize,
-    lane_words: usize,
     seed: u64,
     evaluation: EstimatorConfig,
     state: Arc<SessionState>,
@@ -188,7 +187,6 @@ impl<'g> Session<'g> {
         Session {
             graph,
             threads: flowmax_sampling::default_threads(),
-            lane_words: flowmax_sampling::default_lane_words(),
             seed: 42,
             evaluation: EstimatorConfig::hybrid(16, 3000),
             state: Arc::new(SessionState::new()),
@@ -206,16 +204,14 @@ impl<'g> Session<'g> {
         self
     }
 
-    /// Sets the sampling lane width, in 64-world lane words per BFS block.
-    /// Supported widths are 1, 4 and 8 (64/256/512 worlds per traversal);
-    /// anything else is clamped to 1 with a one-time process-wide stderr
-    /// warning — the same story as `FLOWMAX_LANES` parsing and the CLIs'
-    /// `--lanes`. Changing this never changes results, only wall-clock
-    /// time — every sampling engine in the workspace is lane-width
-    /// invariant.
-    pub fn with_lane_words(mut self, lane_words: usize) -> Self {
-        self.lane_words =
-            flowmax_sampling::clamp_lane_words(lane_words, "Session::with_lane_words");
+    /// Kept for perfbench, which names the lane width it measures: accepts
+    /// only [`flowmax_sampling::LANE_WORDS`] and panics on any other width.
+    pub fn with_lane_words(self, lane_words: usize) -> Self {
+        assert_eq!(
+            lane_words,
+            flowmax_sampling::LANE_WORDS,
+            "the lane width is fixed"
+        );
         self
     }
 
@@ -262,11 +258,6 @@ impl<'g> Session<'g> {
     /// The sampling worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The sampling lane width, in 64-world lane words per BFS block.
-    pub fn lane_words(&self) -> usize {
-        self.lane_words
     }
 
     /// The master seed.
@@ -509,7 +500,6 @@ impl<'g> Session<'g> {
                     include_query: spec.include_query,
                     seed: spec.seed,
                     threads,
-                    lane_words: self.lane_words,
                 },
                 &mut collector,
             ),
@@ -526,7 +516,7 @@ impl<'g> Session<'g> {
             _ => greedy_select_controlled(
                 self.graph,
                 spec.vertex,
-                &spec.greedy_config(threads, self.lane_words),
+                &spec.greedy_config(threads),
                 control,
                 &mut collector,
             ),
@@ -537,7 +527,7 @@ impl<'g> Session<'g> {
         // (ascending edge ids for the F-tree algorithms, commit order for
         // the baselines): the insertion order fixes the evaluator's RNG
         // call sequence, and `flow_at` mirrors it for prefixes.
-        let flow = evaluate_selection_with_parallelism(
+        let flow = evaluate_selection_with_threads(
             self.graph,
             spec.vertex,
             &outcome.selected,
@@ -545,7 +535,6 @@ impl<'g> Session<'g> {
             spec.include_query,
             eval_seed,
             threads,
-            self.lane_words,
         );
         // The public selection is the *commit order* (one edge per step);
         // it is the same edge set as `outcome.selected`.
@@ -557,7 +546,6 @@ impl<'g> Session<'g> {
             include_query: spec.include_query,
             eval_seed,
             threads,
-            lane_words: self.lane_words,
             query: spec.vertex,
             algorithm: spec.algorithm,
             selected,
@@ -637,7 +625,7 @@ impl QuerySpec {
     /// selection's configuration: both structs are handled exhaustively
     /// (no `..` on either side), so adding a knob to one of them is a
     /// compile error here instead of a silently missing field.
-    pub(crate) fn greedy_config(&self, threads: usize, lane_words: usize) -> GreedyConfig {
+    pub(crate) fn greedy_config(&self, threads: usize) -> GreedyConfig {
         let QuerySpec {
             vertex: _,
             algorithm,
@@ -668,7 +656,6 @@ impl QuerySpec {
             include_query,
             seed,
             threads,
-            lane_words,
             probe_engine: ProbeEngine::Incremental,
         }
     }
@@ -817,7 +804,6 @@ pub struct SolveRun<'g> {
     include_query: bool,
     eval_seed: u64,
     threads: usize,
-    lane_words: usize,
     /// The query vertex.
     pub query: VertexId,
     /// The algorithm that produced the run.
@@ -868,7 +854,7 @@ impl SolveRun<'_> {
         if !matches!(self.algorithm, Algorithm::Naive | Algorithm::Dijkstra) {
             prefix.sort_unstable();
         }
-        evaluate_selection_with_parallelism(
+        evaluate_selection_with_threads(
             self.graph,
             self.query,
             &prefix,
@@ -876,7 +862,6 @@ impl SolveRun<'_> {
             self.include_query,
             self.eval_seed,
             self.threads,
-            self.lane_words,
         )
     }
 }

@@ -112,7 +112,6 @@ pub fn evaluate_selection(
 
 /// [`evaluate_selection`] with an explicit sampling worker count (results
 /// are identical for every thread count; only wall-clock time changes).
-#[allow(clippy::too_many_arguments)]
 pub fn evaluate_selection_with_threads(
     graph: &ProbabilisticGraph,
     query: VertexId,
@@ -122,34 +121,7 @@ pub fn evaluate_selection_with_threads(
     seed: u64,
     threads: usize,
 ) -> f64 {
-    evaluate_selection_with_parallelism(
-        graph,
-        query,
-        edges,
-        estimator,
-        include_query,
-        seed,
-        threads,
-        flowmax_sampling::default_lane_words(),
-    )
-}
-
-/// [`evaluate_selection`] with explicit sampling worker count and lane
-/// width (64-world lane words per BFS block; supported widths 1, 4, 8).
-/// Results are identical for every thread count and lane width; only
-/// wall-clock time changes.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_selection_with_parallelism(
-    graph: &ProbabilisticGraph,
-    query: VertexId,
-    edges: &[EdgeId],
-    estimator: EstimatorConfig,
-    include_query: bool,
-    seed: u64,
-    threads: usize,
-    lane_words: usize,
-) -> f64 {
-    let mut provider = SamplingProvider::with_parallelism(estimator, seed, threads, lane_words);
+    let mut provider = SamplingProvider::with_threads(estimator, seed, threads);
     let mut tree = FTree::new(graph, query);
     let mut remaining: Vec<EdgeId> = edges.to_vec();
     loop {

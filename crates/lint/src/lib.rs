@@ -2,7 +2,7 @@
 //! machine-checked.
 //!
 //! The whole value of this reproduction rests on one promise: results are
-//! **bit-identical at every thread count × lane width**, and deterministic
+//! **bit-identical at every thread count**, and deterministic
 //! replay is the serving contract. That promise is enforced dynamically by
 //! the determinism/differential test suites — but nothing in `rustc` stops
 //! the next change from introducing a `HashMap` iteration, a stray thread,

@@ -1,26 +1,26 @@
-//! Bit-parallel possible-world sampling: 64 worlds per lane word, with
-//! optional `[u64; W]` lane *blocks* resolving 256/512 worlds per traversal.
+//! Bit-parallel possible-world sampling: 64 worlds per lane word, packed
+//! into `[u64; LANE_WORDS]` lane *blocks* that resolve 512 worlds per
+//! traversal.
 //!
 //! The scalar pipeline ([`crate::sampler::sample_world`] + a BFS per world)
 //! pays one full traversal per sampled world. This module packs the
 //! existence of each edge across **64 simultaneously sampled worlds** into
-//! one `u64` lane word ([`WorldBatch`]) and resolves reachability for all 64
-//! worlds with a single lane-parallel BFS ([`LaneBfs`]), so the traversal —
-//! the dominant cost of every Monte-Carlo estimator in `flowmax` — is paid
-//! once per 64 worlds instead of once per world.
+//! one `u64` lane word ([`WorldBatch`]) and resolves reachability for all
+//! worlds of a block with a single lane-parallel BFS ([`LaneBfs`]), so the
+//! traversal — the dominant cost of every Monte-Carlo estimator in
+//! `flowmax` — is paid once per block instead of once per world.
 //!
-//! # Lane widths
+//! # Lane width
 //!
-//! Both [`WorldBatch`] and [`LaneBfs`] are generic over the number of lane
-//! words `W` (default 1). A width-`W` block packs `64·W` worlds into
-//! `[u64; W]` arrays the autovectorizer can chew on, so one BFS frontier
-//! pass touches 4–8× more worlds per cache line at `W = 4` / `W = 8`. The
-//! supported widths are `W ∈ {1, 4, 8}` (64/256/512 worlds per pass),
-//! selected at the estimator layer via `FLOWMAX_LANES` or
-//! [`crate::parallel::ParallelEstimator::with_lane_words`]. The width-1
-//! instantiation *is* the original u64 kernel — byte-for-byte the same coin
-//! path — and stays the pinned reference the wide widths are tested
-//! against, world for world.
+//! A block holds [`LANE_WORDS`] lane words (`64·LANE_WORDS` worlds) in
+//! `[u64; LANE_WORDS]` arrays the autovectorizer can chew on. The width is
+//! a crate constant, not a setting: every width draws the same worlds, so
+//! it only decides how many of them one BFS pass resolves. [`WorldBatch`]
+//! and [`LaneBfs`] keep their const parameter `W` (defaulting to
+//! [`LANE_WORDS`]) so the kernel can be named at an explicit width, but the
+//! estimators instantiate it only at [`LANE_WORDS`]. The scalar sampler and
+//! [`EdgeCoin::flip_one`] are the reference the kernel is tested against,
+//! world for world.
 //!
 //! # Lane/seed contract
 //!
@@ -31,15 +31,13 @@
 //! `rng.gen::<f64>() < p` test (see [`EdgeCoin`]), so lane `w` of a
 //! [`WorldBatch`] *is* the scalar world of child stream `first_label + w`,
 //! not merely statistically equivalent to it. Because each world is a pure
-//! function of its own label, *grouping* worlds — 64 per narrow batch or
-//! `64·W` per wide block — never changes any world's coins: lane `w` of a
-//! wide block draws the same stream as lane `w` of the narrow batches it
-//! replaces. Estimators batch samples in groups of [`LANES`] with
-//! `first_label = batch_index * LANES` (wide blocks cover `W` consecutive
-//! such batches), which makes every batch a pure function of
+//! function of its own label, *grouping* worlds into blocks never changes
+//! any world's coins. Estimators batch samples in groups of [`LANES`] with
+//! `first_label = batch_index * LANES` (a block covers `LANE_WORDS`
+//! consecutive such batches), which makes every batch a pure function of
 //! `(master seed, batch index)` — the property the multi-threaded
 //! [`crate::parallel::ParallelEstimator`] relies on to be invariant under
-//! both thread count *and* lane width.
+//! the thread count.
 
 use flowmax_graph::{EdgeId, EdgeSubset, ProbabilisticGraph, VertexId};
 
@@ -47,12 +45,13 @@ use crate::rng::{FlowRng, SeedSequence};
 use rand::RngCore;
 
 /// Number of possible worlds packed into one lane word — the batching and
-/// seed-labelling quantum of every estimator, independent of the lane
-/// width (a width-`W` block covers `W` such batches).
+/// seed-labelling quantum of every estimator (a block covers
+/// [`LANE_WORDS`] such batches).
 pub const LANES: u32 = 64;
 
-/// The widest supported lane block, in words (512 worlds per traversal).
-pub const MAX_LANE_WORDS: usize = 8;
+/// Lane words per block: every estimator resolves `64 · LANE_WORDS` = 512
+/// worlds per BFS pass.
+pub const LANE_WORDS: usize = 8;
 
 // The probability → integer-threshold conversion (`EdgeCoin::classify`,
 // `scalar_coin`, and the 2^53 resolution constant) lives in
@@ -70,8 +69,8 @@ pub const fn block_worlds<const W: usize>() -> u32 {
 /// Number of active lanes in batch `batch` of a `samples`-world run: full
 /// batches hold [`LANES`] worlds, the final batch holds the remainder, and
 /// a batch at or beyond the budget boundary holds 0 — callers that chunk
-/// the budget into fixed-size groups (e.g. `W` batches per wide block) can
-/// probe past the end without special-casing the boundary.
+/// the budget into fixed-size groups (e.g. the [`LANE_WORDS`] batches of a
+/// block) can probe past the end without special-casing the boundary.
 pub fn lanes_in_batch(samples: u32, batch: usize) -> u32 {
     let drawn = (batch as u64) * LANES as u64;
     (samples as u64).saturating_sub(drawn).min(LANES as u64) as u32
@@ -132,10 +131,9 @@ impl EdgeCoin {
     /// coins consume no draw.
     ///
     /// This is **the** coin of the whole crate: the scalar sampler
-    /// ([`crate::sampler::sample_world`] and friends), the 64-lane
-    /// [`EdgeCoin::flip`], and the wide structure-of-arrays flip all make
-    /// the same `next_u64() >> 11 < t` comparison, so the engines cannot
-    /// drift apart coin-wise.
+    /// ([`crate::sampler::sample_world`] and friends) calls it, and the
+    /// structure-of-arrays block flip makes the same `next_u64() >> 11 < t`
+    /// comparison, so the engines cannot drift apart coin-wise.
     #[inline]
     pub fn flip_one(&self, rng: &mut FlowRng) -> bool {
         match *self {
@@ -144,36 +142,17 @@ impl EdgeCoin {
             EdgeCoin::Threshold(t) => rng.next_u64() >> 11 < t,
         }
     }
-
-    /// Flips this coin once per lane RNG and packs the outcomes into a lane
-    /// word (lane `w` = bit `w`). Deterministic coins consume no draws.
-    pub fn flip(&self, lane_rngs: &mut [FlowRng]) -> u64 {
-        match *self {
-            EdgeCoin::AlwaysOn => lane_mask(lane_rngs.len() as u32),
-            EdgeCoin::AlwaysOff => 0,
-            EdgeCoin::Threshold(_) => {
-                let mut mask = 0u64;
-                for (w, rng) in lane_rngs.iter_mut().enumerate() {
-                    if self.flip_one(rng) {
-                        mask |= 1u64 << w;
-                    }
-                }
-                mask
-            }
-        }
-    }
 }
 
-/// The per-lane RNG states of a wide block, laid out structure-of-arrays:
+/// The per-lane RNG states of a block, laid out structure-of-arrays:
 /// four contiguous state vectors instead of `lanes` interleaved `[u64; 4]`
 /// structs, so the branch-free xoshiro256++ step below autovectorizes
 /// across lanes.
 ///
 /// Lane `i` holds exactly the state of `seq.rng(first_label + i)` and is
 /// stepped with the same recurrence as [`FlowRng::next_u64`], so its draw
-/// stream is bit-identical to the per-lane `Vec<FlowRng>` path of the
-/// width-1 reference kernel (pinned by the `soa_steps_match_flowrng`
-/// test).
+/// stream is bit-identical to [`EdgeCoin::flip_one`] on that child stream
+/// (pinned by the `soa_steps_match_flowrng` test).
 #[derive(Debug, Clone, Default)]
 struct SoaLaneRngs {
     s0: Vec<u64>,
@@ -186,7 +165,7 @@ struct SoaLaneRngs {
     lanes: usize,
 }
 
-/// Edges per tile of the wide coin loop. Within a tile the word loop is
+/// Edges per tile of the coin loop. Within a tile the word loop is
 /// outer and the edge loop inner, so each 64-lane state word round-trips
 /// through memory once per tile (not once per edge) while the tile's mask
 /// slice stays L1-resident.
@@ -306,22 +285,19 @@ impl SoaLaneRngs {
 ///
 /// A batch is a reusable scratch arena: re-sampling via
 /// [`WorldBatch::sample_into`] reuses the mask buffer and the per-lane RNG
-/// state, so steady-state sampling performs no heap allocation per batch
+/// states, so steady-state sampling performs no heap allocation per batch
 /// (the edge capacity may even change between calls — buffers only grow).
 #[derive(Debug, Clone)]
-pub struct WorldBatch<const W: usize = 1> {
+pub struct WorldBatch<const W: usize = LANE_WORDS> {
     /// Lane block per edge id (length = edge capacity of the graph/domain).
     masks: Vec<[u64; W]>,
     /// Number of active lanes (1..=64·W); bits at or above this are zero.
     lanes: u32,
-    /// Per-lane RNG buffer of the width-1 reference path (one child stream
-    /// per active lane, stepped through [`EdgeCoin::flip`]).
-    lane_rngs: Vec<FlowRng>,
-    /// Structure-of-arrays RNG states of the wide (`W > 1`) path.
+    /// Structure-of-arrays RNG states, one child stream per active lane.
     soa_rngs: SoaLaneRngs,
-    /// Scratch `(edge index, threshold)` list of the wide path: the coin
-    /// loop is lane-major, so threshold edges are collected once per batch
-    /// and streamed once per lane group.
+    /// Scratch `(edge index, threshold)` list: the coin loop is lane-major,
+    /// so threshold edges are collected once per batch and streamed once
+    /// per lane group.
     threshold_edges: Vec<(u32, u64)>,
 }
 
@@ -331,7 +307,6 @@ impl<const W: usize> WorldBatch<W> {
         WorldBatch {
             masks: vec![[0; W]; edge_capacity],
             lanes: 0,
-            lane_rngs: Vec::new(),
             soa_rngs: SoaLaneRngs::default(),
             threshold_edges: Vec::new(),
         }
@@ -370,11 +345,10 @@ impl<const W: usize> WorldBatch<W> {
     /// Core sampling loop over `(edge index, probability)` pairs; shared by
     /// the graph-level and component-local samplers.
     ///
-    /// Width 1 flips coins through the per-lane [`EdgeCoin::flip`] path —
-    /// the pinned reference kernel, byte-for-byte the pre-widening code.
-    /// Wider blocks step the same per-lane streams in
-    /// structure-of-arrays form (see [`SoaLaneRngs`]); both paths draw
-    /// bit-identical coins for every world label.
+    /// Certain and impossible edges are written directly; threshold edges
+    /// are collected and flipped for every lane at once in
+    /// structure-of-arrays form (see [`SoaLaneRngs`]), drawing the coins
+    /// [`EdgeCoin::flip_one`] would draw on each lane's child stream.
     pub(crate) fn sample_indexed_into(
         &mut self,
         edge_capacity: usize,
@@ -392,34 +366,22 @@ impl<const W: usize> WorldBatch<W> {
         self.masks.clear();
         self.masks.resize(edge_capacity, [0; W]);
         self.lanes = lanes;
-        if W == 1 {
-            // Re-seed the reusable lane-RNG buffer in place: after the
-            // first batch its capacity is pinned at 64, so this draws no
-            // allocation.
-            self.lane_rngs.clear();
-            self.lane_rngs
-                .extend((0..lanes as u64).map(|w| seq.rng(first_label + w)));
-            for (idx, p) in probs {
-                self.masks[idx][0] = EdgeCoin::classify(p).flip(&mut self.lane_rngs);
-            }
-        } else {
-            self.soa_rngs.reseed(seq, first_label, lanes);
-            let on = block_mask::<W>(lanes);
-            self.threshold_edges.clear();
-            for (idx, p) in probs {
-                match EdgeCoin::classify(p) {
-                    EdgeCoin::AlwaysOn => self.masks[idx] = on,
-                    // The resize above already zeroed every block.
-                    EdgeCoin::AlwaysOff => {}
-                    EdgeCoin::Threshold(t) => {
-                        let idx = u32::try_from(idx).expect("edge index fits in u32");
-                        self.threshold_edges.push((idx, t));
-                    }
+        self.soa_rngs.reseed(seq, first_label, lanes);
+        let on = block_mask::<W>(lanes);
+        self.threshold_edges.clear();
+        for (idx, p) in probs {
+            match EdgeCoin::classify(p) {
+                EdgeCoin::AlwaysOn => self.masks[idx] = on,
+                // The resize above already zeroed every block.
+                EdgeCoin::AlwaysOff => {}
+                EdgeCoin::Threshold(t) => {
+                    let idx = u32::try_from(idx).expect("edge index fits in u32");
+                    self.threshold_edges.push((idx, t));
                 }
             }
-            self.soa_rngs
-                .flip_all(&self.threshold_edges, &mut self.masks);
         }
+        self.soa_rngs
+            .flip_all(&self.threshold_edges, &mut self.masks);
     }
 
     /// Number of active lanes.
@@ -466,11 +428,10 @@ impl<const W: usize> WorldBatch<W> {
 /// once per world), neighbours whose lane block has already converged to
 /// the full active mask are skipped outright in late rounds, and between
 /// runs only the vertices the previous run actually touched are reset — no
-/// dense full-vertex sweep anywhere. At widths above 1 every mask operation
-/// covers `W` words, so the frontier bookkeeping is amortized over `64·W`
-/// worlds per pass.
+/// dense full-vertex sweep anywhere. Every mask operation covers `W` words,
+/// so the frontier bookkeeping is amortized over `64·W` worlds per pass.
 #[derive(Debug, Clone)]
-pub struct LaneBfs<const W: usize = 1> {
+pub struct LaneBfs<const W: usize = LANE_WORDS> {
     reached: Vec<[u64; W]>,
     pending: Vec<[u64; W]>,
     in_queue: Vec<bool>,
@@ -655,21 +616,27 @@ mod tests {
     fn soa_steps_match_flowrng() {
         // The structure-of-arrays stepper duplicates the vendored
         // xoshiro256++ recurrence; this pins the two against each other so
-        // they cannot drift. Three lanes (a partial, padded group), 2000
-        // draws streamed through the lane-major loop in one call.
+        // they cannot drift. 130 lanes (two full words and a partial,
+        // padded one), 2000 draws streamed through the lane-major loop in
+        // one call.
         let seq = SeedSequence::new(5150);
-        let EdgeCoin::Threshold(t) = EdgeCoin::classify(0.37) else {
+        let coin = EdgeCoin::classify(0.37);
+        let EdgeCoin::Threshold(t) = coin else {
             panic!("fractional probability must classify as Threshold");
         };
+        let lanes = 130;
         let mut soa = SoaLaneRngs::default();
-        soa.reseed(&seq, 7, 3);
+        soa.reseed(&seq, 7, lanes);
         let edges: Vec<(u32, u64)> = (0..2000).map(|i| (i, t)).collect();
-        let mut wide = vec![[0u64; 1]; edges.len()];
-        soa.flip_all(&edges, &mut wide);
-        let mut rngs: Vec<FlowRng> = (0..3).map(|w| seq.rng(7 + w)).collect();
-        for (round, mask) in wide.iter().enumerate() {
-            let narrow = EdgeCoin::Threshold(t).flip(&mut rngs);
-            assert_eq!(mask[0], narrow, "round {round}");
+        let mut blocks = vec![[0u64; LANE_WORDS]; edges.len()];
+        soa.flip_all(&edges, &mut blocks);
+        let mut rngs: Vec<FlowRng> = (0..lanes as u64).map(|w| seq.rng(7 + w)).collect();
+        for (round, block) in blocks.iter().enumerate() {
+            let mut expected = [0u64; LANE_WORDS];
+            for (w, rng) in rngs.iter_mut().enumerate() {
+                expected[w / 64] |= u64::from(coin.flip_one(rng)) << (w % 64);
+            }
+            assert_eq!(*block, expected, "round {round}");
         }
     }
 
@@ -679,117 +646,100 @@ mod tests {
         assert_eq!(EdgeCoin::classify(1.5), EdgeCoin::AlwaysOn);
         assert_eq!(EdgeCoin::classify(0.0), EdgeCoin::AlwaysOff);
         assert_eq!(EdgeCoin::classify(-0.5), EdgeCoin::AlwaysOff);
-        // Deterministic coins never touch the RNGs.
-        let seq = SeedSequence::new(1);
-        let mut rngs: Vec<FlowRng> = vec![seq.rng(0)];
-        let before = rngs[0].clone();
-        assert_eq!(EdgeCoin::AlwaysOn.flip(&mut rngs), 1);
-        assert_eq!(EdgeCoin::AlwaysOff.flip(&mut rngs), 0);
-        assert!(rngs[0] == before, "fast paths must not consume draws");
+        // Deterministic coins never touch the RNG.
+        let mut rng = SeedSequence::new(1).rng(0);
+        let before = rng.clone();
+        assert!(EdgeCoin::AlwaysOn.flip_one(&mut rng));
+        assert!(!EdgeCoin::AlwaysOff.flip_one(&mut rng));
+        assert!(rng == before, "fast paths must not consume draws");
     }
 
-    fn batch_lanes_match_scalar_worlds_at<const W: usize>() {
+    #[test]
+    fn batch_lanes_match_scalar_worlds() {
         let g = mixed_graph();
         let domain = EdgeSubset::full(&g);
         let seq = SeedSequence::new(7);
-        let worlds = block_worlds::<W>();
-        let batch = WorldBatch::<W>::sample(&g, &domain, &seq, 0, worlds);
+        let worlds = block_worlds::<LANE_WORDS>();
+        let batch = WorldBatch::<LANE_WORDS>::sample(&g, &domain, &seq, 0, worlds);
         let mut scalar = EdgeSubset::for_graph(&g);
         let mut extracted = EdgeSubset::for_graph(&g);
         for lane in 0..worlds {
             let mut rng = seq.rng(lane as u64);
             sample_world(&g, &domain, &mut rng, &mut scalar);
             batch.world(lane, &mut extracted);
-            assert_eq!(scalar, extracted, "width {W}, lane {lane}");
+            assert_eq!(scalar, extracted, "lane {lane}");
         }
     }
 
     #[test]
-    fn batch_lanes_match_scalar_worlds() {
-        batch_lanes_match_scalar_worlds_at::<1>();
-        batch_lanes_match_scalar_worlds_at::<4>();
-        batch_lanes_match_scalar_worlds_at::<8>();
-    }
-
-    fn wide_blocks_match_narrow_batches_at<const W: usize>() {
-        // The cross-width contract itself: lane `w` of a wide block equals
-        // lane `w % 64` of narrow batch `w / 64` at the same labels.
+    fn blocks_match_flip_one_word_for_word() {
+        // The lane/seed contract at a non-zero first label: lane `w` of a
+        // block is `flip_one` over child stream `first_label + w`, one draw
+        // per uncertain edge in edge order, across every word of the block.
         let g = mixed_graph();
         let domain = EdgeSubset::full(&g);
         let seq = SeedSequence::new(314);
         let first_label = 128;
-        let wide = WorldBatch::<W>::sample(&g, &domain, &seq, first_label, block_worlds::<W>());
-        for k in 0..W {
-            let narrow = WorldBatch::<1>::sample(
-                &g,
-                &domain,
-                &seq,
-                first_label + (k as u64) * LANES as u64,
-                LANES,
-            );
+        let worlds = block_worlds::<LANE_WORDS>();
+        let block = WorldBatch::<LANE_WORDS>::sample(&g, &domain, &seq, first_label, worlds);
+        for lane in 0..worlds {
+            let (word, bit) = ((lane / LANES) as usize, lane % LANES);
+            let mut rng = seq.rng(first_label + lane as u64);
             for e in g.edge_ids() {
+                let coin = EdgeCoin::classify(g.probability(e).value());
                 assert_eq!(
-                    wide.edge_mask(e)[k],
-                    narrow.edge_mask(e)[0],
-                    "width {W}, word {k}, edge {e}"
+                    block.edge_mask(e)[word] >> bit & 1 == 1,
+                    coin.flip_one(&mut rng),
+                    "lane {lane}, edge {e}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn wide_blocks_match_narrow_batches_word_for_word() {
-        wide_blocks_match_narrow_batches_at::<4>();
-        wide_blocks_match_narrow_batches_at::<8>();
-    }
-
-    fn partial_batches_zero_inactive_lanes_at<const W: usize>(lanes: u32) {
-        let g = mixed_graph();
-        let domain = EdgeSubset::full(&g);
-        let seq = SeedSequence::new(3);
-        let batch = WorldBatch::<W>::sample(&g, &domain, &seq, 128, lanes);
-        assert_eq!(batch.lanes(), lanes);
-        assert_eq!(batch.active_mask(), block_mask::<W>(lanes));
-        let active = batch.active_mask();
-        for e in g.edge_ids() {
-            let mask = batch.edge_mask(e);
-            for k in 0..W {
-                assert_eq!(
-                    mask[k] & !active[k],
-                    0,
-                    "width {W}: bits above the active lanes must stay zero"
-                );
-            }
-        }
-        // The certain edge exists in every active lane.
-        assert_eq!(batch.edge_mask(EdgeId(3)), active);
     }
 
     #[test]
     fn partial_batches_zero_inactive_lanes() {
-        partial_batches_zero_inactive_lanes_at::<1>(5);
-        partial_batches_zero_inactive_lanes_at::<4>(5);
-        partial_batches_zero_inactive_lanes_at::<4>(130);
-        partial_batches_zero_inactive_lanes_at::<8>(300);
+        let g = mixed_graph();
+        let domain = EdgeSubset::full(&g);
+        let seq = SeedSequence::new(3);
+        for lanes in [1, 5, 64, 130, 300] {
+            let batch = WorldBatch::<LANE_WORDS>::sample(&g, &domain, &seq, 128, lanes);
+            assert_eq!(batch.lanes(), lanes);
+            let active = batch.active_mask();
+            assert_eq!(active, block_mask::<LANE_WORDS>(lanes));
+            for e in g.edge_ids() {
+                let mask = batch.edge_mask(e);
+                for k in 0..LANE_WORDS {
+                    assert_eq!(
+                        mask[k] & !active[k],
+                        0,
+                        "{lanes} lanes: bits above the active lanes must stay zero"
+                    );
+                }
+            }
+            // The certain edge exists in every active lane.
+            assert_eq!(batch.edge_mask(EdgeId(3)), active);
+        }
     }
 
     #[test]
     fn domain_restriction_zeroes_outside_edges() {
         let g = mixed_graph();
         let domain = EdgeSubset::from_edges(g.edge_count(), [EdgeId(0), EdgeId(3)]);
-        let batch = WorldBatch::<4>::sample(&g, &domain, &SeedSequence::new(5), 0, 256);
-        assert_eq!(batch.edge_mask(EdgeId(1)), [0; 4]);
-        assert_eq!(batch.edge_mask(EdgeId(2)), [0; 4]);
-        assert_eq!(batch.edge_mask(EdgeId(3)), [!0; 4]);
+        let worlds = block_worlds::<LANE_WORDS>();
+        let batch = WorldBatch::<LANE_WORDS>::sample(&g, &domain, &SeedSequence::new(5), 0, worlds);
+        assert_eq!(batch.edge_mask(EdgeId(1)), [0; LANE_WORDS]);
+        assert_eq!(batch.edge_mask(EdgeId(2)), [0; LANE_WORDS]);
+        assert_eq!(batch.edge_mask(EdgeId(3)), [!0; LANE_WORDS]);
     }
 
-    fn lane_bfs_matches_scalar_bfs_at<const W: usize>() {
+    #[test]
+    fn lane_bfs_matches_scalar_bfs_per_lane() {
         let g = mixed_graph();
         let domain = EdgeSubset::full(&g);
         let seq = SeedSequence::new(42);
-        let worlds = block_worlds::<W>();
-        let batch = WorldBatch::<W>::sample(&g, &domain, &seq, 0, worlds);
-        let mut lane_bfs = LaneBfs::<W>::new(g.vertex_count());
+        let worlds = block_worlds::<LANE_WORDS>();
+        let batch = WorldBatch::<LANE_WORDS>::sample(&g, &domain, &seq, 0, worlds);
+        let mut lane_bfs = LaneBfs::<LANE_WORDS>::new(g.vertex_count());
         lane_bfs.run_graph(&g, VertexId(0), &batch);
         let mut world = EdgeSubset::for_graph(&g);
         let mut bfs = Bfs::new(g.vertex_count());
@@ -801,17 +751,10 @@ mod tests {
                 assert_eq!(
                     bfs.was_visited(v),
                     lane_bfs.reached_mask(v.index())[word] >> bit & 1 == 1,
-                    "width {W}, lane {lane}, vertex {v}"
+                    "lane {lane}, vertex {v}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn lane_bfs_matches_scalar_bfs_per_lane() {
-        lane_bfs_matches_scalar_bfs_at::<1>();
-        lane_bfs_matches_scalar_bfs_at::<4>();
-        lane_bfs_matches_scalar_bfs_at::<8>();
     }
 
     #[test]
@@ -820,16 +763,17 @@ mod tests {
         let g = mixed_graph();
         let domain = EdgeSubset::full(&g);
         let seq = SeedSequence::new(11);
-        let mut batch = WorldBatch::<1>::new(g.edge_count());
+        let worlds = block_worlds::<LANE_WORDS>();
+        let mut batch = WorldBatch::<LANE_WORDS>::new(g.edge_count());
         let mut bfs = LaneBfs::new(g.vertex_count());
         let mut hits = 0u32;
-        let batches = 300usize;
-        for b in 0..batches {
-            batch.sample_into(&g, &domain, &seq, b as u64 * LANES as u64, LANES);
+        let blocks = 40usize;
+        for b in 0..blocks {
+            batch.sample_into(&g, &domain, &seq, b as u64 * worlds as u64, worlds);
             bfs.run_graph(&g, VertexId(0), &batch);
-            hits += bfs.reached_mask(1)[0].count_ones();
+            hits += block_ones(&bfs.reached_mask(1));
         }
-        let freq = hits as f64 / (batches as f64 * LANES as f64);
+        let freq = hits as f64 / (blocks as f64 * worlds as f64);
         assert!((freq - 0.625).abs() < 0.02, "frequency {freq}");
     }
 
@@ -845,36 +789,33 @@ mod tests {
 
     #[test]
     fn lanes_in_batch_is_zero_at_and_past_the_boundary() {
-        // A caller landing exactly on the budget boundary — e.g. a wide
-        // block probing `W` consecutive batches of which only some exist —
-        // gets 0 lanes instead of a panic, at every multiple-of-64 budget.
+        // A caller landing exactly on the budget boundary — e.g. a block
+        // probing `LANE_WORDS` consecutive batches of which only some exist
+        // — gets 0 lanes instead of a panic, at every multiple-of-64 budget.
         assert_eq!(lanes_in_batch(64, 1), 0);
         assert_eq!(lanes_in_batch(128, 2), 0);
         assert_eq!(lanes_in_batch(128, 3), 0);
         assert_eq!(lanes_in_batch(1000, 16), 0);
         assert_eq!(lanes_in_batch(1000, 1_000_000), 0);
-        // The same boundary at the wide widths: a 256-world (W=4) and a
-        // 512-world (W=8) budget end exactly on their block boundaries.
-        assert_eq!(lanes_in_batch(block_worlds::<4>(), 4), 0);
-        assert_eq!(lanes_in_batch(block_worlds::<8>(), 8), 0);
-        for b in 0..4 {
-            assert_eq!(lanes_in_batch(block_worlds::<4>(), b), 64);
-        }
-        for b in 0..8 {
-            assert_eq!(lanes_in_batch(block_worlds::<8>(), b), 64);
+        // A one-block budget ends exactly on the block boundary.
+        let worlds = block_worlds::<LANE_WORDS>();
+        assert_eq!(lanes_in_batch(worlds, LANE_WORDS), 0);
+        for b in 0..LANE_WORDS {
+            assert_eq!(lanes_in_batch(worlds, b), 64);
         }
     }
 
     #[test]
     fn block_masks_cover_partial_words() {
-        assert_eq!(block_mask::<1>(5), [0b11111]);
-        assert_eq!(block_mask::<4>(64), [!0, 0, 0, 0]);
-        assert_eq!(block_mask::<4>(70), [!0, 0b111111, 0, 0]);
-        assert_eq!(block_mask::<4>(256), [!0; 4]);
-        assert_eq!(block_mask::<8>(0), [0; 8]);
-        assert_eq!(block_ones(&block_mask::<8>(300)), 300);
-        assert_eq!(block_worlds::<1>(), 64);
-        assert_eq!(block_worlds::<4>(), 256);
-        assert_eq!(block_worlds::<8>(), 512);
+        assert_eq!(block_mask::<LANE_WORDS>(5), [0b11111, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(block_mask::<LANE_WORDS>(64), [!0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(
+            block_mask::<LANE_WORDS>(70),
+            [!0, 0b111111, 0, 0, 0, 0, 0, 0]
+        );
+        assert_eq!(block_mask::<LANE_WORDS>(512), [!0; LANE_WORDS]);
+        assert_eq!(block_mask::<LANE_WORDS>(0), [0; LANE_WORDS]);
+        assert_eq!(block_ones(&block_mask::<LANE_WORDS>(300)), 300);
+        assert_eq!(block_worlds::<LANE_WORDS>(), 512);
     }
 }

@@ -3,9 +3,9 @@
 //! This module is the **only** place in the sampling crate where an edge
 //! probability is still an `f64`: [`EdgeCoin::classify`] converts it, once
 //! per edge, into the exact integer threshold that every kernel flips
-//! against. Everything downstream — the scalar sampler, the 64-lane
-//! [`EdgeCoin::flip`](crate::batch::EdgeCoin) path, the wide
-//! structure-of-arrays loop — makes the same pure-integer
+//! against. Everything downstream — the scalar sampler through
+//! [`EdgeCoin::flip_one`], the block kernel's structure-of-arrays loop —
+//! makes the same pure-integer
 //! `next_u64() >> 11 < t` comparison, which is what lint rule **L5**
 //! (no float comparison/arithmetic inside the bit-parallel kernels in
 //! `batch.rs`) protects: float math happens here, at ingestion, never in

@@ -222,9 +222,9 @@ impl ComponentGraph {
     /// Samples `lanes` worlds of the component's edge domain into `batch`,
     /// lane `w` drawing from `seq.rng(first_label + w)` (the engine-wide
     /// lane/seed contract of [`crate::batch`]).
-    pub(crate) fn fill_batch<const W: usize>(
+    pub(crate) fn fill_batch(
         &self,
-        batch: &mut WorldBatch<W>,
+        batch: &mut WorldBatch,
         seq: &SeedSequence,
         first_label: u64,
         lanes: u32,

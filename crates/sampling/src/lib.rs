@@ -11,8 +11,9 @@
 //! * the **scalar** reference path ([`sample_world`], [`sample_reachability`],
 //!   [`ComponentGraph::sample_reachability`]) — one world, one BFS at a time;
 //! * the **bit-parallel** engine ([`batch`], [`parallel`]) — 64 worlds per
-//!   `u64` lane word, one lane-BFS per batch, batches sharded across threads
-//!   with results bit-identical for every thread count.
+//!   `u64` lane word, [`LANE_WORDS`] words per block, one lane-BFS per
+//!   block, blocks sharded across threads with results bit-identical for
+//!   every thread count.
 //!
 //! On top of them, the [`race`] module implements the §6.3 candidate race:
 //! geometric whole-batch sample rounds with confidence-interval elimination
@@ -51,7 +52,7 @@ pub mod scratch;
 
 pub use batch::{
     block_mask, block_ones, block_worlds, lane_mask, lanes_in_batch, EdgeCoin, LaneBfs, WorldBatch,
-    LANES, MAX_LANE_WORDS,
+    LANES, LANE_WORDS,
 };
 pub use coin::scalar_coin;
 pub use component::{ComponentEstimate, ComponentGraph, LocalIdScratch};
@@ -62,8 +63,7 @@ pub use confidence::{
 pub use convergence::BatchSchedule;
 pub use estimate::FlowEstimate;
 pub use parallel::{
-    clamp_lane_words, clamp_threads, default_lane_words, default_threads, invalid_lane_requests,
-    invalid_thread_requests, ParallelEstimator, WorldsRequest,
+    clamp_threads, default_threads, invalid_thread_requests, ParallelEstimator, WorldsRequest,
 };
 pub use pool::{is_pool_worker, WorkerPool};
 pub use race::{
@@ -72,4 +72,4 @@ pub use race::{
 pub use reachability::{sample_flow, sample_reachability, ReachabilityEstimate};
 pub use rng::{splitmix64, FlowRng, SeedSequence};
 pub use sampler::{sample_world, sample_worlds};
-pub use scratch::{with_thread_scratch, SamplingScratch, ScratchSlot};
+pub use scratch::{with_thread_scratch, SamplingScratch};

@@ -1,33 +1,32 @@
-//! Multi-threaded, thread-count- and lane-width-invariant Monte-Carlo
-//! estimation.
+//! Multi-threaded, thread-count-invariant Monte-Carlo estimation.
 //!
 //! [`ParallelEstimator`] splits a sample budget into batches of
-//! [`LANES`] worlds, evaluates each batch with the
-//! bit-parallel kernel of [`crate::batch`], and shards batches across the
+//! [`LANES`] worlds, evaluates them with the
+//! bit-parallel kernel of [`crate::batch`], and shards the work across the
 //! persistent [`WorkerPool`]. Batch `b` draws lane
 //! `w`'s coins from the seed-sequence child `b * LANES + w`, so each batch
 //! is a pure function of `(seed sequence, batch index)` — which worker
-//! computes it is irrelevant. At lane widths above 1 (see
-//! [`default_lane_words`] / [`ParallelEstimator::with_lane_words`]) each
-//! BFS pass resolves a `[u64; W]` block of `W` consecutive batches at once;
-//! the per-world streams are unchanged, so the grouping is irrelevant too.
-//! Per-vertex success counts merge by integer addition (order-free) and
-//! per-64-world flow moments merge in ascending batch order — wide blocks
-//! are split back into their per-batch moment groups before merging — so
-//! results are **bit-identical for every thread count and every lane
-//! width**, as locked down by `tests/determinism.rs`.
+//! computes it is irrelevant. Each BFS pass resolves a block of
+//! [`LANE_WORDS`] consecutive batches at once; the per-world streams do not
+//! depend on the grouping. Per-vertex success counts merge by integer
+//! addition (order-free) and per-64-world flow moments merge in ascending
+//! batch order — blocks are split back into their per-batch moment groups
+//! before merging — so results are **bit-identical for every thread
+//! count**, as locked down by `tests/determinism.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use flowmax_graph::{EdgeSubset, ProbabilisticGraph, VertexId};
 
-use crate::batch::{block_ones, block_worlds, lanes_in_batch, LaneBfs, WorldBatch, LANES};
+use crate::batch::{
+    block_ones, block_worlds, lanes_in_batch, LaneBfs, WorldBatch, LANES, LANE_WORDS,
+};
 use crate::component::{ComponentEstimate, ComponentGraph};
 use crate::estimate::FlowEstimate;
 use crate::pool::WorkerPool;
 use crate::reachability::ReachabilityEstimate;
 use crate::rng::SeedSequence;
-use crate::scratch::{with_thread_scratch, SamplingScratch, ScratchSlot};
+use crate::scratch::with_thread_scratch;
 
 /// Invalid worker-count requests observed so far (zero or unparseable, from
 /// any origin). The first one is echoed to stderr; all are counted, so
@@ -35,21 +34,10 @@ use crate::scratch::{with_thread_scratch, SamplingScratch, ScratchSlot};
 /// that requests were clamped without scraping stderr.
 static INVALID_THREAD_REQUESTS: AtomicU64 = AtomicU64::new(0);
 
-/// Invalid lane-width requests observed so far (anything outside
-/// `{1, 4, 8}`, from any origin) — same observability story as
-/// [`invalid_thread_requests`].
-static INVALID_LANE_REQUESTS: AtomicU64 = AtomicU64::new(0);
-
 /// How many invalid thread-count requests have been clamped to 1 so far in
 /// this process (see [`clamp_threads`] and `FLOWMAX_THREADS` parsing).
 pub fn invalid_thread_requests() -> u64 {
     INVALID_THREAD_REQUESTS.load(Ordering::Relaxed)
-}
-
-/// How many invalid lane-width requests have been clamped to 1 so far in
-/// this process (see [`clamp_lane_words`] and `FLOWMAX_LANES` parsing).
-pub fn invalid_lane_requests() -> u64 {
-    INVALID_LANE_REQUESTS.load(Ordering::Relaxed)
 }
 
 /// Records one invalid worker-count request: warns on stderr the first
@@ -67,20 +55,6 @@ fn note_invalid_threads(origin: &str, detail: &str) -> usize {
     1
 }
 
-/// Records one invalid lane-width request (same warn-once/count-always
-/// policy as [`note_invalid_threads`]) and returns the clamped width 1.
-fn note_invalid_lanes(origin: &str, detail: &str) -> usize {
-    if INVALID_LANE_REQUESTS.fetch_add(1, Ordering::Relaxed) == 0 {
-        // flowmax-lint: allow(L6, sanctioned warn-once clamp helper: one stderr line per process for a misconfigured lane width; results are unaffected)
-        eprintln!(
-            "flowmax: warning: invalid lane width from {origin} ({detail}); \
-             supported widths are 1, 4 and 8 lane words (64/256/512 worlds); \
-             clamping to 1 — results are unaffected, only wall-clock time"
-        );
-    }
-    1
-}
-
 /// The single clamping story for explicit thread-count requests, shared by
 /// [`ParallelEstimator`] call sites, `Session::with_threads`, and the CLI's
 /// `--threads`: a request of `0` is invalid (there is no zero-thread
@@ -91,20 +65,6 @@ pub fn clamp_threads(requested: usize, origin: &str) -> usize {
         note_invalid_threads(origin, "0 worker threads requested")
     } else {
         requested
-    }
-}
-
-/// The single clamping story for explicit lane-width requests, shared by
-/// [`ParallelEstimator::with_lane_words`], `Session::with_lane_words`, and
-/// the CLIs' `--lanes`: the kernel is instantiated only at widths 1, 4 and
-/// 8 (64/256/512 worlds per BFS pass), so anything else is clamped to 1
-/// with a one-time warning (same policy as invalid thread counts). Results never
-/// depend on the width — only wall-clock time does.
-pub fn clamp_lane_words(requested: usize, origin: &str) -> usize {
-    if matches!(requested, 1 | 4 | 8) {
-        requested
-    } else {
-        note_invalid_lanes(origin, &format!("{requested} lane words requested"))
     }
 }
 
@@ -127,24 +87,6 @@ fn parse_threads(var: Option<String>) -> usize {
     }
 }
 
-/// Parses a lane-width override, as read from `FLOWMAX_LANES`.
-///
-/// Unset or blank means 1 (the 64-world reference kernel). Anything else
-/// must be one of the supported widths `1`, `4` or `8`; other values are
-/// clamped to 1 with the one-time warning of [`note_invalid_lanes`].
-fn parse_lane_words(var: Option<String>) -> usize {
-    let Some(raw) = var else { return 1 };
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return 1;
-    }
-    match raw.parse::<usize>() {
-        Ok(n) if matches!(n, 1 | 4 | 8) => n,
-        Ok(n) => note_invalid_lanes("FLOWMAX_LANES", &format!("{n} is not one of 1, 4, 8")),
-        Err(_) => note_invalid_lanes("FLOWMAX_LANES", &format!("unparseable value {raw:?}")),
-    }
-}
-
 /// The default worker count: the `FLOWMAX_THREADS` environment variable
 /// when set to a positive integer, otherwise 1 (fully sequential).
 ///
@@ -153,41 +95,6 @@ fn parse_lane_words(var: Option<String>) -> usize {
 pub fn default_threads() -> usize {
     // flowmax-lint: allow(L3, sanctioned FLOWMAX_THREADS entry point: the value only sets wall-clock parallelism, which the determinism suite proves never changes results)
     parse_threads(std::env::var("FLOWMAX_THREADS").ok())
-}
-
-/// The default lane width, in 64-world lane words per block: the
-/// `FLOWMAX_LANES` environment variable when set to 1, 4 or 8, otherwise 1.
-///
-/// Results never depend on this value — only wall-clock time does — so CI
-/// runs the whole test suite under both `FLOWMAX_LANES=1` and
-/// `FLOWMAX_LANES=8`, mirroring the `FLOWMAX_THREADS` matrix.
-pub fn default_lane_words() -> usize {
-    // flowmax-lint: allow(L3, sanctioned FLOWMAX_LANES entry point: the value only selects the SIMD lane width, which the cross-width bit-identity suite proves never changes results)
-    parse_lane_words(std::env::var("FLOWMAX_LANES").ok())
-}
-
-/// Expands `$body` once per supported lane width, selecting the arm that
-/// matches the runtime width `$w` and binding `$W` as a `const usize`
-/// inside it — the bridge from a runtime `FLOWMAX_LANES` value to the
-/// const-generic kernel instantiations. Unsupported widths (already
-/// clamped by [`clamp_lane_words`]) fall back to the width-1 reference.
-macro_rules! with_lane_words {
-    ($w:expr, $W:ident, $body:expr) => {
-        match $w {
-            4 => {
-                const $W: usize = 4;
-                $body
-            }
-            8 => {
-                const $W: usize = 8;
-                $body
-            }
-            _ => {
-                const $W: usize = 1;
-                $body
-            }
-        }
-    };
 }
 
 /// Runs `work` over `0..num_blocks` split into at most `threads`
@@ -244,14 +151,14 @@ fn workers_for_coins(threads: usize, coins: u64) -> usize {
     threads.max(1).min(by_work)
 }
 
-/// Active lanes of the width-`W` block whose first batch is `first_batch`,
-/// under a `samples`-world budget: the sum of [`lanes_in_batch`] over the
-/// block's `W` batches (0 at or past the boundary).
-fn block_lanes<const W: usize>(samples: u32, first_batch: usize) -> u32 {
+/// Active lanes of the block whose first batch is `first_batch`, under a
+/// `samples`-world budget: the sum of [`lanes_in_batch`] over the block's
+/// [`LANE_WORDS`] batches (0 at or past the boundary).
+fn block_lanes(samples: u32, first_batch: usize) -> u32 {
     let drawn = (first_batch as u64) * LANES as u64;
     (samples as u64)
         .saturating_sub(drawn)
-        .min(block_worlds::<W>() as u64) as u32
+        .min(block_worlds::<LANE_WORDS>() as u64) as u32
 }
 
 /// Size and shape of one batched estimation job.
@@ -273,7 +180,7 @@ pub(crate) struct BatchJob {
 }
 
 /// The shared batch driver behind every batched estimator: draws
-/// `job.samples` worlds in width-`W` blocks of `W` consecutive
+/// `job.samples` worlds in blocks of [`LANE_WORDS`] consecutive
 /// [`LANES`]-world batches (the block starting at batch `b` fills with
 /// first lane label `b·LANES`, the seed-per-batch contract), resolves each
 /// block with one lane-BFS from `job.source`, and folds every block into a
@@ -287,26 +194,25 @@ pub(crate) struct BatchJob {
 /// estimation allocates nothing per batch. Reachability counting, flow
 /// aggregation, and the component-local sampler are all thin wrappers, so
 /// the batching/label/merge contract lives in exactly one place.
-pub(crate) fn map_batches<const W: usize, A, F, N, I, P>(
+pub(crate) fn map_batches<A, F, N, I, P>(
     job: BatchJob,
     fill: F,
     neighbors: N,
     per_batch: P,
 ) -> Vec<A>
 where
-    SamplingScratch<W>: ScratchSlot,
     A: Default + Send,
-    F: Fn(&mut WorldBatch<W>, u64, u32) + Sync,
+    F: Fn(&mut WorldBatch, u64, u32) + Sync,
     N: Fn(usize) -> I + Sync,
     I: Iterator<Item = (usize, usize)>,
-    P: Fn(&mut A, &LaneBfs<W>, usize) + Sync,
+    P: Fn(&mut A, &LaneBfs, usize) + Sync,
 {
     assert!(job.samples > 0, "need at least one sample");
     let num_batches = job.samples.div_ceil(LANES) as usize;
-    let num_blocks = num_batches.div_ceil(W);
+    let num_blocks = num_batches.div_ceil(LANE_WORDS);
     let workers = effective_workers(job.threads, job.samples, job.work_edges);
     parallel_chunks(num_blocks, workers, |_worker, range| {
-        with_thread_scratch::<W, _>(|scratch| {
+        with_thread_scratch(|scratch| {
             let mut acc = A::default();
             scratch.bfs.prepare(job.vertex_count);
             for g in range {
@@ -315,8 +221,8 @@ where
                 // containment and re-raised on the submitter, exactly like
                 // a real batch-loop crash.
                 flowmax_faults::failpoint_keyed("sampling/batch", g as u64);
-                let first_batch = g * W;
-                let lanes = block_lanes::<W>(job.samples, first_batch);
+                let first_batch = g * LANE_WORDS;
+                let lanes = block_lanes(job.samples, first_batch);
                 fill(&mut scratch.batch, first_batch as u64 * LANES as u64, lanes);
                 scratch.bfs.run(
                     job.source,
@@ -335,18 +241,13 @@ where
 /// specialization of [`map_batches`], shared by the graph-level
 /// [`ParallelEstimator`] and the component-local
 /// [`crate::component::ComponentGraph::sample_reachability_batched`].
-pub(crate) fn batched_success_counts<const W: usize, F, N, I>(
-    job: BatchJob,
-    fill: F,
-    neighbors: N,
-) -> Vec<u32>
+pub(crate) fn batched_success_counts<F, N, I>(job: BatchJob, fill: F, neighbors: N) -> Vec<u32>
 where
-    SamplingScratch<W>: ScratchSlot,
-    F: Fn(&mut WorldBatch<W>, u64, u32) + Sync,
+    F: Fn(&mut WorldBatch, u64, u32) + Sync,
     N: Fn(usize) -> I + Sync,
     I: Iterator<Item = (usize, usize)>,
 {
-    let chunks = map_batches::<W, _, _, _, _, _>(
+    let chunks = map_batches(
         job,
         fill,
         neighbors,
@@ -373,57 +274,47 @@ where
 /// A batched, multi-threaded drop-in for the scalar estimators of
 /// [`crate::reachability`] and [`crate::component`].
 ///
-/// Construction is free: the estimator is just a worker-count ceiling plus
-/// a lane width. Execution runs on the process-global persistent
+/// Construction is free: the estimator is just a worker-count ceiling.
+/// Execution runs on the process-global persistent
 /// [`WorkerPool`], and every thread — pool worker
 /// or submitter — keeps one warm
-/// [`SamplingScratch`] per lane width for life (see
+/// [`SamplingScratch`](crate::scratch::SamplingScratch) for life (see
 /// [`with_thread_scratch`]), so steady-state estimation performs zero heap
 /// allocation per batch and pays no thread spawn/join per job. The
 /// configured count is an upper bound: jobs too small to amortize even a
 /// pool dispatch — e.g. the F-tree's per-component probes — run on the
 /// calling thread against its own warm scratch, so `threads > 1` never
-/// makes an estimation slower. Results never depend on the scratch, the
-/// worker count, or the lane width — only wall-clock time does.
+/// makes an estimation slower. Results never depend on the scratch or the
+/// worker count — only wall-clock time does.
 #[derive(Debug, Clone)]
 pub struct ParallelEstimator {
     threads: usize,
-    lane_words: usize,
 }
 
 impl ParallelEstimator {
     /// An estimator using `threads` workers (clamped to at least 1, with
-    /// the process-wide one-time warning of [`clamp_threads`] on 0) at the
-    /// ambient [`default_lane_words`] width.
+    /// the process-wide one-time warning of [`clamp_threads`] on 0).
     pub fn new(threads: usize) -> Self {
         ParallelEstimator {
             threads: clamp_threads(threads, "ParallelEstimator::new"),
-            lane_words: default_lane_words(),
         }
     }
 
-    /// An estimator using [`default_threads`] and [`default_lane_words`].
+    /// An estimator using [`default_threads`].
     pub fn from_env() -> Self {
         ParallelEstimator::new(default_threads())
     }
 
-    /// Overrides the lane width (64-world lane words per BFS block;
-    /// supported widths 1, 4 and 8, others clamped to 1 with the one-time
-    /// warning of [`clamp_lane_words`]). Results never depend on the
-    /// width — only wall-clock time does.
-    pub fn with_lane_words(mut self, lane_words: usize) -> Self {
-        self.lane_words = clamp_lane_words(lane_words, "ParallelEstimator::with_lane_words");
+    /// Kept for perfbench, which names the lane width it measures: accepts
+    /// only [`LANE_WORDS`] and panics on any other width.
+    pub fn with_lane_words(self, lane_words: usize) -> Self {
+        assert_eq!(lane_words, LANE_WORDS, "the lane width is fixed");
         self
     }
 
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured lane width, in 64-world lane words per block.
-    pub fn lane_words(&self) -> usize {
-        self.lane_words
     }
 
     /// Runs `jobs` independent jobs on the worker pool and returns their
@@ -454,8 +345,7 @@ impl ParallelEstimator {
     /// the `active` subgraph.
     ///
     /// World `i` draws its coins from `seq.rng(i)`; the result is a pure
-    /// function of `(seq, samples)`, independent of the thread count and
-    /// the lane width.
+    /// function of `(seq, samples)`, independent of the thread count.
     pub fn sample_reachability(
         &self,
         graph: &ProbabilisticGraph,
@@ -464,22 +354,6 @@ impl ParallelEstimator {
         samples: u32,
         seq: &SeedSequence,
     ) -> ReachabilityEstimate {
-        with_lane_words!(self.lane_words, W, {
-            self.sample_reachability_at::<W>(graph, active, query, samples, seq)
-        })
-    }
-
-    fn sample_reachability_at<const W: usize>(
-        &self,
-        graph: &ProbabilisticGraph,
-        active: &EdgeSubset,
-        query: VertexId,
-        samples: u32,
-        seq: &SeedSequence,
-    ) -> ReachabilityEstimate
-    where
-        SamplingScratch<W>: ScratchSlot,
-    {
         let job = BatchJob {
             vertex_count: graph.vertex_count(),
             work_edges: active.len(),
@@ -487,7 +361,7 @@ impl ParallelEstimator {
             samples,
             threads: self.threads,
         };
-        let successes = batched_success_counts::<W, _, _, _>(
+        let successes = batched_success_counts(
             job,
             |batch, first_label, lanes| batch.sample_into(graph, active, seq, first_label, lanes),
             |u| {
@@ -503,9 +377,9 @@ impl ParallelEstimator {
     /// per-world flow aggregate over `samples` worlds.
     ///
     /// Per-64-world moments are merged in ascending batch order (Chan et
-    /// al.) — wide blocks are split back into their per-batch moment groups
+    /// al.) — blocks are split back into their per-batch moment groups
     /// first — so the floating-point result is bit-identical for every
-    /// thread count and every lane width.
+    /// thread count.
     pub fn sample_flow(
         &self,
         graph: &ProbabilisticGraph,
@@ -515,23 +389,6 @@ impl ParallelEstimator {
         samples: u32,
         seq: &SeedSequence,
     ) -> FlowEstimate {
-        with_lane_words!(self.lane_words, W, {
-            self.sample_flow_at::<W>(graph, active, query, include_query, samples, seq)
-        })
-    }
-
-    fn sample_flow_at<const W: usize>(
-        &self,
-        graph: &ProbabilisticGraph,
-        active: &EdgeSubset,
-        query: VertexId,
-        include_query: bool,
-        samples: u32,
-        seq: &SeedSequence,
-    ) -> FlowEstimate
-    where
-        SamplingScratch<W>: ScratchSlot,
-    {
         let job = BatchJob {
             vertex_count: graph.vertex_count(),
             work_edges: active.len(),
@@ -539,7 +396,7 @@ impl ParallelEstimator {
             samples,
             threads: self.threads,
         };
-        let chunks = map_batches::<W, _, _, _, _, _>(
+        let chunks = map_batches(
             job,
             |batch, first_label, lanes| batch.sample_into(graph, active, seq, first_label, lanes),
             |u| {
@@ -549,9 +406,9 @@ impl ParallelEstimator {
             },
             |estimates: &mut Vec<FlowEstimate>, bfs, first_batch| {
                 // Accumulate per-lane flows word by word, then emit one
-                // moment group per 64-world batch of the block — the same
-                // groups, in the same order, as a width-1 run would emit.
-                let mut flows = [[0.0f64; LANES as usize]; W];
+                // moment group per 64-world batch of the block, in batch
+                // order.
+                let mut flows = [[0.0f64; LANES as usize]; LANE_WORDS];
                 for v in graph.vertices() {
                     if v == query && !include_query {
                         continue;
@@ -592,7 +449,7 @@ impl ParallelEstimator {
     /// Batched equivalent of [`ComponentGraph::sample_reachability`]:
     /// `Pr[v ↔ AV]` counts for every local vertex of a component, computed
     /// against the estimator's pooled scratch (world `i` draws from
-    /// `seq.rng(i)`; bit-identical at every thread count and lane width).
+    /// `seq.rng(i)`; bit-identical at every thread count).
     ///
     /// This is the selection loop's hottest entry point — one call per
     /// probed component — so it reuses the warm scratch of whichever
@@ -603,21 +460,19 @@ impl ParallelEstimator {
         samples: u32,
         seq: &SeedSequence,
     ) -> ComponentEstimate {
-        with_lane_words!(self.lane_words, W, {
-            let job = BatchJob {
-                vertex_count: component.vertex_count(),
-                work_edges: component.edge_count(),
-                source: 0,
-                samples,
-                threads: self.threads,
-            };
-            let successes = batched_success_counts::<W, _, _, _>(
-                job,
-                |batch, first_label, lanes| component.fill_batch(batch, seq, first_label, lanes),
-                |u| component.local_neighbors(u),
-            );
-            ComponentEstimate::from_success_counts(successes, samples)
-        })
+        let job = BatchJob {
+            vertex_count: component.vertex_count(),
+            work_edges: component.edge_count(),
+            source: 0,
+            samples,
+            threads: self.threads,
+        };
+        let successes = batched_success_counts(
+            job,
+            |batch, first_label, lanes| component.fill_batch(batch, seq, first_label, lanes),
+            |u| component.local_neighbors(u),
+        );
+        ComponentEstimate::from_success_counts(successes, samples)
     }
 
     /// Draws worlds `[first_world, total_worlds)` for **many components as
@@ -628,8 +483,7 @@ impl ParallelEstimator {
     /// exactly the requested world range. Because world `i` of request `r`
     /// always draws from `r.seq.rng(i)` and counts merge by integer
     /// addition, the result is a pure function of each request alone —
-    /// bit-identical for every thread count and lane width, and to
-    /// per-component calls.
+    /// bit-identical for every thread count, and to per-component calls.
     ///
     /// This is where the racing engine's speedup over per-candidate
     /// estimation comes from: individual component probes are far too small
@@ -637,22 +491,10 @@ impl ParallelEstimator {
     /// sequentially, but the union of all surviving candidates' batches in
     /// a round is large enough to keep every worker busy.
     pub fn sample_component_worlds(&self, requests: &[WorldsRequest<'_>]) -> Vec<Vec<u32>> {
-        with_lane_words!(self.lane_words, W, {
-            self.sample_component_worlds_at::<W>(requests)
-        })
-    }
-
-    fn sample_component_worlds_at<const W: usize>(
-        &self,
-        requests: &[WorldsRequest<'_>],
-    ) -> Vec<Vec<u32>>
-    where
-        SamplingScratch<W>: ScratchSlot,
-    {
         // Flatten: global unit index → (request, lane block). A request's
-        // blocks group `W` consecutive batches starting at its own
+        // blocks group `LANE_WORDS` consecutive batches starting at its own
         // `first_world` boundary — world labels are unaffected by the
-        // grouping, so the counts match the width-1 reference exactly.
+        // grouping, so the counts match per-component calls exactly.
         // Requests are laid out contiguously so each chunk touches few
         // distinct components.
         let mut unit_request: Vec<u32> = Vec::new();
@@ -675,12 +517,12 @@ impl ParallelEstimator {
             while b <= last_batch {
                 unit_request.push(r as u32);
                 unit_first_batch.push(b);
-                b += W as u32;
+                b += LANE_WORDS as u32;
             }
         }
         let workers = workers_for_coins(self.threads, coins);
         let chunks = parallel_chunks(unit_request.len(), workers, |_worker, range| {
-            with_thread_scratch::<W, _>(|scratch| {
+            with_thread_scratch(|scratch| {
                 let mut acc: Vec<Option<Vec<u32>>> = vec![None; requests.len()];
                 let mut owner: Option<u32> = None;
                 for u in range {
@@ -694,7 +536,7 @@ impl ParallelEstimator {
                         owner = Some(r);
                         scratch.bfs.prepare(req.component.vertex_count());
                     }
-                    let lanes = block_lanes::<W>(req.total_worlds, first_batch);
+                    let lanes = block_lanes(req.total_worlds, first_batch);
                     req.component.fill_batch(
                         &mut scratch.batch,
                         &req.seq,
@@ -779,7 +621,7 @@ mod tests {
         let g = cyclic();
         let active = EdgeSubset::full(&g);
         let seq = SeedSequence::new(404);
-        for samples in [1, 63, 64, 65, 1000] {
+        for samples in [1, 63, 64, 65, 511, 512, 513, 1000] {
             let reach1 = ParallelEstimator::new(1).sample_reachability(
                 &g,
                 &active,
@@ -801,36 +643,6 @@ mod tests {
                 let flow_t = est.sample_flow(&g, &active, VertexId(0), false, samples, &seq);
                 assert_eq!(reach1, reach_t, "samples={samples} threads={threads}");
                 assert_eq!(flow1, flow_t, "samples={samples} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn lane_widths_are_bit_identical() {
-        // The tentpole contract: every lane width, at every thread count,
-        // reproduces the width-1 reference bit for bit — success counts by
-        // world identity, flow moments by per-batch merge grouping.
-        let g = cyclic();
-        let active = EdgeSubset::full(&g);
-        let seq = SeedSequence::new(808);
-        for samples in [1, 63, 64, 65, 256, 257, 300, 512, 1000] {
-            let narrow = ParallelEstimator::new(1).with_lane_words(1);
-            let reach1 = narrow.sample_reachability(&g, &active, VertexId(0), samples, &seq);
-            let flow1 = narrow.sample_flow(&g, &active, VertexId(0), true, samples, &seq);
-            for lane_words in [4, 8] {
-                for threads in [1, 3, 8] {
-                    let est = ParallelEstimator::new(threads).with_lane_words(lane_words);
-                    assert_eq!(
-                        reach1,
-                        est.sample_reachability(&g, &active, VertexId(0), samples, &seq),
-                        "samples={samples} lanes={lane_words} threads={threads}"
-                    );
-                    assert_eq!(
-                        flow1,
-                        est.sample_flow(&g, &active, VertexId(0), true, samples, &seq),
-                        "samples={samples} lanes={lane_words} threads={threads}"
-                    );
-                }
             }
         }
     }
@@ -920,30 +732,6 @@ mod tests {
         assert_eq!(invalid_thread_requests(), before + 6);
     }
 
-    /// Same single-function policy for the lane-width counter (it is
-    /// process-global too, and separate from the thread counter).
-    #[test]
-    fn parse_lane_words_accepts_supported_widths_only() {
-        let before = invalid_lane_requests();
-        assert_eq!(parse_lane_words(None), 1);
-        assert_eq!(parse_lane_words(Some("1".into())), 1);
-        assert_eq!(parse_lane_words(Some("4".into())), 4);
-        assert_eq!(parse_lane_words(Some(" 8 ".into())), 8);
-        assert_eq!(parse_lane_words(Some(String::new())), 1);
-        assert_eq!(clamp_lane_words(4, "test"), 4);
-        assert_eq!(clamp_lane_words(8, "test"), 8);
-        assert_eq!(invalid_lane_requests(), before);
-
-        assert_eq!(parse_lane_words(Some("0".into())), 1);
-        assert_eq!(parse_lane_words(Some("2".into())), 1);
-        assert_eq!(parse_lane_words(Some("512".into())), 1);
-        assert_eq!(parse_lane_words(Some("wide".into())), 1);
-        assert_eq!(clamp_lane_words(0, "test"), 1);
-        assert_eq!(clamp_lane_words(16, "test"), 1);
-        assert_eq!(ParallelEstimator::new(1).with_lane_words(3).lane_words(), 1);
-        assert_eq!(invalid_lane_requests(), before + 7);
-    }
-
     #[test]
     fn small_jobs_stay_on_the_calling_thread() {
         // 4 edges × 1000 samples is far below the per-worker floor.
@@ -959,15 +747,15 @@ mod tests {
 
     #[test]
     fn block_lanes_cover_the_budget_without_panicking() {
-        // Wide blocks probing past the end of the budget see 0 lanes — the
+        // Blocks probing past the end of the budget see 0 lanes — the
         // boundary the old `lanes_in_batch` assert used to panic on.
-        assert_eq!(block_lanes::<4>(256, 0), 256);
-        assert_eq!(block_lanes::<4>(256, 4), 0);
-        assert_eq!(block_lanes::<4>(300, 4), 44);
-        assert_eq!(block_lanes::<8>(512, 0), 512);
-        assert_eq!(block_lanes::<8>(512, 8), 0);
-        assert_eq!(block_lanes::<1>(64, 1), 0);
-        assert_eq!(block_lanes::<1>(65, 1), 1);
+        assert_eq!(block_lanes(512, 0), 512);
+        assert_eq!(block_lanes(512, 8), 0);
+        assert_eq!(block_lanes(600, 8), 88);
+        assert_eq!(block_lanes(1000, 0), 512);
+        assert_eq!(block_lanes(1, 0), 1);
+        assert_eq!(block_lanes(64, 1), 0);
+        assert_eq!(block_lanes(65, 1), 1);
     }
 
     #[test]

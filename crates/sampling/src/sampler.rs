@@ -27,7 +27,7 @@ use crate::rng::FlowRng;
 /// Both fast paths are symmetric, so inserting or removing a deterministic
 /// edge never perturbs the coins of later edges under a fixed seed.
 /// (Historically the `p <= 0` path still burned a draw, shifting the entire
-/// downstream stream.) The 64-lane batch sampler
+/// downstream stream.) The bit-parallel batch sampler
 /// ([`crate::batch::WorldBatch`]) reproduces this contract bit-for-bit per
 /// lane, which is what lets tests compare the two world-for-world.
 pub fn sample_world(

@@ -9,12 +9,11 @@
 //! a fresh batch + BFS allocation.
 //!
 //! [`SamplingScratch`] bundles the working set, and
-//! [`with_thread_scratch`] keeps **one scratch per OS thread per lane
-//! width** — each persistent [`WorkerPool`](crate::pool::WorkerPool) worker
-//! owns one slot per supported width `W ∈ {1, 4, 8}`, warmed by the first
-//! job it ever serves at that width and reused by every estimation the
-//! process runs afterwards; submitting threads (which compute chunk 0 of
-//! their own jobs, and whole jobs that are too small to shard) get their
+//! [`with_thread_scratch`] keeps **one scratch per OS thread** — each
+//! persistent [`WorkerPool`](crate::pool::WorkerPool) worker owns one,
+//! warmed by the first job it ever serves and reused by every estimation
+//! the process runs afterwards; submitting threads (which compute chunk 0
+//! of their own jobs, and whole jobs that are too small to shard) get their
 //! own. Buffers survive across jobs and only grow, so steady-state
 //! estimation performs zero heap allocation per batch: the mask buffer,
 //! lane RNGs, BFS arrays and frontier queues are all reused, whatever
@@ -24,7 +23,7 @@
 //! re-initialized (sized, re-seeded, or frontier-reset) before use, so a
 //! pooled run is bit-identical to one on freshly allocated buffers. For the
 //! same reason a *re-entrant* checkout (an estimation callback calling back
-//! into an estimator on the same thread, at the same width) is handled by
+//! into an estimator on the same thread) is handled by
 //! handing the inner call a fresh temporary scratch instead of deadlocking
 //! or panicking.
 
@@ -32,16 +31,17 @@ use std::cell::RefCell;
 
 use crate::batch::{LaneBfs, WorldBatch};
 
-/// One thread's reusable estimation working set at lane width `W`.
+/// One thread's reusable estimation working set, at the crate's
+/// [`LANE_WORDS`](crate::batch::LANE_WORDS) width.
 #[derive(Debug)]
-pub struct SamplingScratch<const W: usize = 1> {
-    /// Lane-block batch (edge masks + per-lane RNG buffers).
-    pub batch: WorldBatch<W>,
+pub struct SamplingScratch {
+    /// Lane-block batch (edge masks + per-lane RNG states).
+    pub batch: WorldBatch,
     /// Lane BFS state (reached/pending blocks, frontier worklist).
-    pub bfs: LaneBfs<W>,
+    pub bfs: LaneBfs,
 }
 
-impl<const W: usize> SamplingScratch<W> {
+impl SamplingScratch {
     /// An empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         SamplingScratch {
@@ -51,62 +51,30 @@ impl<const W: usize> SamplingScratch<W> {
     }
 }
 
-impl<const W: usize> Default for SamplingScratch<W> {
+impl Default for SamplingScratch {
     fn default() -> Self {
         SamplingScratch::new()
     }
 }
 
-/// The lane widths that own a persistent per-thread scratch slot.
-///
-/// Implemented exactly for `SamplingScratch<1>`, `SamplingScratch<4>` and
-/// `SamplingScratch<8>` — the supported `FLOWMAX_LANES` widths. A generic
-/// estimation driver bounds itself with `where SamplingScratch<W>:
-/// ScratchSlot`, which statically rules out unsupported widths instead of
-/// panicking at runtime.
-pub trait ScratchSlot: Sized {
-    /// Runs `f` against this thread's warm slot of the implementing width.
-    fn with_slot<R>(f: impl FnOnce(&mut Self) -> R) -> R;
+thread_local! {
+    static THREAD_SCRATCH: RefCell<SamplingScratch> = RefCell::new(SamplingScratch::new());
 }
 
-macro_rules! scratch_slot {
-    ($slot:ident, $w:literal) => {
-        thread_local! {
-            static $slot: RefCell<SamplingScratch<$w>> = RefCell::new(SamplingScratch::new());
-        }
-
-        impl ScratchSlot for SamplingScratch<$w> {
-            fn with_slot<R>(f: impl FnOnce(&mut Self) -> R) -> R {
-                $slot.with(|cell| match cell.try_borrow_mut() {
-                    Ok(mut scratch) => f(&mut scratch),
-                    Err(_) => f(&mut SamplingScratch::new()),
-                })
-            }
-        }
-    };
-}
-
-scratch_slot!(THREAD_SCRATCH_W1, 1);
-scratch_slot!(THREAD_SCRATCH_W4, 4);
-scratch_slot!(THREAD_SCRATCH_W8, 8);
-
-/// Runs `f` against the calling thread's warm [`SamplingScratch`] of width
-/// `W`.
+/// Runs `f` against the calling thread's warm [`SamplingScratch`].
 ///
 /// The scratch persists for the life of the thread — on a
 /// [`WorkerPool`](crate::pool::WorkerPool) worker that means for the life
 /// of the process — so arenas stay hot across estimations, jobs, sessions
-/// and queries. Each supported width keeps its own slot: a daemon serving
-/// both narrow and wide queries never thrashes one buffer set between
-/// layouts. If the thread is already inside a `with_thread_scratch` call at
-/// the same width (an estimator callback re-entering an estimator), the
-/// inner call receives a fresh temporary scratch: correct, allocating, and
-/// impossible to deadlock.
-pub fn with_thread_scratch<const W: usize, R>(f: impl FnOnce(&mut SamplingScratch<W>) -> R) -> R
-where
-    SamplingScratch<W>: ScratchSlot,
-{
-    SamplingScratch::<W>::with_slot(f)
+/// and queries. If the thread is already inside a `with_thread_scratch`
+/// call (an estimator callback re-entering an estimator), the inner call
+/// receives a fresh temporary scratch: correct, allocating, and impossible
+/// to deadlock.
+pub fn with_thread_scratch<R>(f: impl FnOnce(&mut SamplingScratch) -> R) -> R {
+    THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut SamplingScratch::new()),
+    })
 }
 
 #[cfg(test)]
@@ -115,7 +83,7 @@ mod tests {
 
     #[test]
     fn scratch_buffers_grow_and_are_reusable() {
-        let mut s = SamplingScratch::<1>::new();
+        let mut s = SamplingScratch::new();
         s.bfs.prepare(10);
         assert_eq!(s.bfs.reached().len(), 10);
         s.bfs.prepare(4);
@@ -124,28 +92,16 @@ mod tests {
 
     #[test]
     fn thread_scratch_is_warm_across_checkouts() {
-        with_thread_scratch::<1, _>(|s| s.bfs.prepare(16));
-        let len = with_thread_scratch::<1, _>(|s| s.bfs.reached().len());
+        with_thread_scratch(|s| s.bfs.prepare(16));
+        let len = with_thread_scratch(|s| s.bfs.reached().len());
         assert_eq!(len, 16, "same thread sees the same buffers");
     }
 
     #[test]
-    fn widths_own_independent_slots() {
-        with_thread_scratch::<4, _>(|s| s.bfs.prepare(12));
-        with_thread_scratch::<8, _>(|s| s.bfs.prepare(5));
-        let (w4, w8) = (
-            with_thread_scratch::<4, _>(|s| s.bfs.reached().len()),
-            with_thread_scratch::<8, _>(|s| s.bfs.reached().len()),
-        );
-        assert_eq!(w4, 12, "width-4 slot keeps its own buffers");
-        assert_eq!(w8, 5, "width-8 slot keeps its own buffers");
-    }
-
-    #[test]
     fn reentrant_checkout_gets_a_fresh_scratch() {
-        with_thread_scratch::<1, _>(|outer| {
+        with_thread_scratch(|outer| {
             outer.bfs.prepare(8);
-            let inner_len = with_thread_scratch::<1, _>(|inner| {
+            let inner_len = with_thread_scratch(|inner| {
                 inner.bfs.prepare(3);
                 inner.bfs.reached().len()
             });

@@ -104,8 +104,8 @@ fn sampling_batch_fault_is_contained_like_a_real_batch_crash() {
     use flowmax_graph::{EdgeSubset, GraphBuilder, Probability, VertexId, Weight};
     use flowmax_sampling::{ParallelEstimator, SeedSequence};
 
-    // A 40-vertex ring with chords, every edge p=0.5: enough worlds and
-    // edges for several sampled blocks.
+    // A 40-vertex ring with chords, every edge p=0.5, sampled over 2048
+    // worlds: four 512-world blocks.
     let mut b = GraphBuilder::new();
     b.add_vertices(40, Weight::ONE);
     let half = Probability::new(0.5).expect("0.5 is a probability");
@@ -126,19 +126,19 @@ fn sampling_batch_fault_is_contained_like_a_real_batch_crash() {
     {
         let _quiet = arm(FailPlan::new(0));
         let est = ParallelEstimator::new(2);
-        let clean = est.sample_reachability(&graph, &active, query, 512, &seq);
+        let clean = est.sample_reachability(&graph, &active, query, 2048, &seq);
 
         // Fault the second sampled block: the injected panic unwinds
         // through the pool's task containment and fails the estimation.
         faults::install(FailPlan::new(3).fail_key_nth("sampling/batch", 1, &[0]));
         let result = catch_unwind(AssertUnwindSafe(|| {
-            est.sample_reachability(&graph, &active, query, 512, &seq)
+            est.sample_reachability(&graph, &active, query, 2048, &seq)
         }));
         assert!(result.is_err(), "the faulted batch must fail the job");
 
         // Disarmed, the same estimation replays bit-identically.
         faults::clear();
-        let replay = est.sample_reachability(&graph, &active, query, 512, &seq);
+        let replay = est.sample_reachability(&graph, &active, query, 2048, &seq);
         assert_eq!(clean, replay);
     }
 }

@@ -44,10 +44,9 @@ OPTIONS:
     --threads <N>         Sampling worker threads per executing batch
                           (default: FLOWMAX_THREADS or 1; 0 is clamped to 1
                           with a warning).
-    --lanes <N>           Sampling lane width in 64-world lane words per BFS
-                          block: 1, 4, or 8 (64, 256, or 512 worlds; default:
-                          FLOWMAX_LANES or 1; unsupported widths clamp to 1
-                          with a warning). Results never depend on this.
+    --lanes <N>           Accepted for compatibility: the only value is 8,
+                          the fixed sampling lane width (512 worlds per BFS
+                          pass); any other value is an error.
     --max-graphs <N>      Graphs kept resident, LRU beyond that (default 4).
     --queue-capacity <N>  Bounded admission queue; a full queue rejects with
                           `ERR OVERLOADED retry_after_ms=<hint>` (default 64).
@@ -115,10 +114,9 @@ lines are drained and answered with `ERR LINE TOO LONG ...`):
 DETERMINISTIC REPLAY:
     A query's result is a pure function of (graph fingerprint, query
     parameters, seed). Replaying the same SOLVE line — any queue state,
-    any coalescing, any thread count, any lane width — returns a
-    bit-identical selection and flow. Deadlines and cancellation only move
-    the stop point between iterations; they never change what a committed
-    step computes.
+    any coalescing, any thread count — returns a bit-identical selection
+    and flow. Deadlines and cancellation only move the stop point between
+    iterations; they never change what a committed step computes.
 ";
 
 struct Options {
@@ -151,7 +149,13 @@ fn parse_options(raw: &[String]) -> Result<Options, String> {
         match name {
             "--port" => port = value.parse().map_err(|_| bad("--port"))?,
             "--threads" => config.threads = value.parse().map_err(|_| bad("--threads"))?,
-            "--lanes" => config.lane_words = value.parse().map_err(|_| bad("--lanes"))?,
+            // The lane width is the crate constant; the option stays
+            // because perfbench passes it.
+            "--lanes" => {
+                if value.parse() != Ok(flowmax::sampling::LANE_WORDS) {
+                    return Err(bad("--lanes"));
+                }
+            }
             "--max-graphs" => {
                 config.max_resident_graphs = value.parse().map_err(|_| bad("--max-graphs"))?
             }
@@ -412,6 +416,10 @@ fn serve_connection(daemon: &Daemon, conn_id: u64, stream: TcpStream) -> std::io
     // written by this same thread, and a SOLVE blocks on its ticket, not
     // on the socket.
     stream.set_read_timeout(daemon.idle_timeout)?;
+    // Every reply line is flushed as soon as it is complete; without
+    // NODELAY, Nagle's algorithm holds each streamed `STEP` back until the
+    // client's delayed ACK for the previous segment arrives.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut line = String::new();

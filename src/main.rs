@@ -2,11 +2,12 @@
 //!
 //! ```text
 //! flowmax solve  --graph g.txt --query 0 --budget 20 [--algorithm FT+M]
-//!                [--samples 1000] [--seed 42] [--threads 8] [--lanes 8]
+//!                [--samples 1000] [--seed 42] [--threads 8]
 //!                [--include-query] [--trace] [--dot out.dot]
 //! flowmax stats  --graph g.txt
 //! flowmax exact  --graph g.txt --query 0 --budget 5
 //! flowmax generate --dataset erdos --vertices 1000 --degree 6 [--seed 42] > g.txt
+//! flowmax generate --dataset wsn --vertices 1000 --epsilon 0.07 > w.txt
 //! ```
 //!
 //! Graphs use the `flowmax-graph v1` text format (see `flowmax::graph::io`);
@@ -149,18 +150,11 @@ fn cmd_solve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // same story as `FLOWMAX_THREADS` and `Session::with_threads`.
     let threads: usize = args.parse_opt("threads", flowmax::sampling::default_threads())?;
     let threads = flowmax::sampling::clamp_threads(threads, "--threads");
-    // Sampling lane width in 64-world words per BFS block (1, 4, or 8 —
-    // 64/256/512 worlds). Results are bit-identical at every width; an
-    // unsupported width clamps to 1 with the shared one-time warning, the
-    // same story as `FLOWMAX_LANES` and `Session::with_lane_words`.
-    let lane_words: usize = args.parse_opt("lanes", flowmax::sampling::default_lane_words())?;
-    let lane_words = flowmax::sampling::clamp_lane_words(lane_words, "--lanes");
 
     // Worker threads shard the batched sampling engine; results are
     // identical at any thread count, only wall-clock time changes.
     let session = Session::new(&graph)
         .with_threads(threads)
-        .with_lane_words(lane_words)
         .with_seed(args.parse_opt("seed", 42u64)?);
     let builder = session
         .query(query)
@@ -280,14 +274,16 @@ flowmax — budgeted information-flow maximization in probabilistic graphs
 
 USAGE:
   flowmax solve    --graph <file> [--query N] [--budget K] [--algorithm NAME]
-                   [--samples N] [--seed N] [--threads N] [--lanes 1|4|8]
+                   [--samples N] [--seed N] [--threads N]
                    [--include-query] [--trace] [--dot <file>]
   flowmax exact    --graph <file> [--query N] [--budget K] [--include-query]
   flowmax stats    --graph <file>
   flowmax generate --dataset <name> [--vertices N] [--degree D] [--seed N]
+                   [--epsilon E]
 
 Algorithms: Naive, Dijkstra, FT, FT+M, FT+M+CI, FT+M+DS, FT+M+CI+DS
 Datasets:   erdos, partitioned, wsn, road, social-circle, collaboration, preferential
+            (--epsilon is the wsn connection radius, default 0.07)
 ";
 
 /// Per-command option allowlists: `(value options, flag options)`.
@@ -302,7 +298,6 @@ fn allowed_options(command: &str) -> Option<(&'static [&'static str], &'static [
                 "samples",
                 "seed",
                 "threads",
-                "lanes",
                 "dot",
             ],
             &["include-query", "trace"],

@@ -176,3 +176,43 @@ fn cli_exits_cleanly_when_stdout_closes_early() {
         output.status
     );
 }
+
+/// The lane width is not a CLI option: `solve --lanes` is rejected like
+/// any other unknown option, while the same solve without it runs.
+#[test]
+fn cli_solve_rejects_the_lanes_option() {
+    use std::process::Command;
+
+    let dir = std::env::temp_dir().join(format!("flowmax-cli-lanes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("g.txt");
+    let graph = ErdosConfig::paper(50, 4.0).generate(3);
+    let mut file = std::fs::File::create(&path).unwrap();
+    flowmax::graph::io::write_text(&graph, &mut file).unwrap();
+    drop(file);
+
+    let solve = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_flowmax"))
+            .args(["solve", "--graph"])
+            .arg(&path)
+            .args(["--budget", "2", "--samples", "64"])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    let plain = solve(&[]);
+    let with_lanes = solve(&["--lanes", "8"]);
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert!(
+        plain.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&plain.stderr)
+    );
+    assert!(!with_lanes.status.success(), "--lanes must be refused");
+    let stderr = String::from_utf8_lossy(&with_lanes.stderr);
+    assert!(
+        stderr.contains("unknown option --lanes"),
+        "stderr: {stderr}"
+    );
+}

@@ -3,15 +3,17 @@
 //! *exact* world a scalar `sample_world` draws from the same seed-sequence
 //! child, and the lane-BFS must agree with a scalar BFS world-for-world.
 //!
-//! Every property runs at all supported lane widths (1, 4, and 8 lane
-//! words — 64, 256, and 512 worlds per block): the lane/seed contract says
-//! lane `w` of a block draws from child stream `first_label + w` no matter
-//! how the worlds are grouped, so the scalar reference pins every width.
+//! Every property runs at the engine's lane width ([`LANE_WORDS`] lane
+//! words — 512 worlds per block): the lane/seed contract says lane `w` of a
+//! block draws from child stream `first_label + w`, so the scalar reference
+//! pins every lane of every word.
 
 use flowmax::graph::{
     Bfs, EdgeId, EdgeSubset, GraphBuilder, ProbabilisticGraph, Probability, VertexId, Weight,
 };
-use flowmax::sampling::{block_worlds, sample_world, LaneBfs, SeedSequence, WorldBatch, LANES};
+use flowmax::sampling::{
+    block_worlds, sample_world, EdgeCoin, LaneBfs, SeedSequence, WorldBatch, LANE_WORDS,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -89,21 +91,24 @@ fn domains(g: &ProbabilisticGraph) -> Vec<EdgeSubset> {
     vec![full, half]
 }
 
-/// Lane `w` of a width-`W` batch is bit-identical to the scalar world drawn
-/// from child stream `first_label + w`.
-fn batch_lanes_equal_scalar_worlds_at<const W: usize>(spec: &SmallGraph) {
+/// Worlds per block.
+const WORLDS: u32 = block_worlds::<LANE_WORDS>();
+
+/// Lane `w` of a batch is bit-identical to the scalar world drawn from
+/// child stream `first_label + w`.
+fn batch_lanes_equal_scalar_worlds_at(spec: &SmallGraph) {
     let g = build(spec);
     let seq = SeedSequence::new(spec.seed);
     for (d, domain) in domains(&g).into_iter().enumerate() {
-        let first_label = d as u64 * block_worlds::<W>() as u64;
-        let batch = WorldBatch::<W>::sample(&g, &domain, &seq, first_label, block_worlds::<W>());
+        let first_label = d as u64 * WORLDS as u64;
+        let batch = WorldBatch::<LANE_WORDS>::sample(&g, &domain, &seq, first_label, WORLDS);
         let mut scalar = EdgeSubset::for_graph(&g);
         let mut extracted = EdgeSubset::for_graph(&g);
-        for lane in 0..block_worlds::<W>() {
+        for lane in 0..WORLDS {
             let mut rng = seq.rng(first_label + lane as u64);
             sample_world(&g, &domain, &mut rng, &mut scalar);
             batch.world(lane, &mut extracted);
-            prop_assert_eq!(&scalar, &extracted, "W {} domain {} lane {}", W, d, lane);
+            prop_assert_eq!(&scalar, &extracted, "domain {} lane {}", d, lane);
             // Sampled worlds never leave their domain.
             prop_assert!(extracted.iter().all(|e| domain.contains(e)));
         }
@@ -111,18 +116,19 @@ fn batch_lanes_equal_scalar_worlds_at<const W: usize>(spec: &SmallGraph) {
 }
 
 /// The lane-parallel reachability kernel agrees world-for-world with
-/// `64 * W` scalar `sample_world` + BFS runs seeded from the same children.
-fn lane_bfs_equals_scalar_bfs_at<const W: usize>(spec: &SmallGraph) {
+/// `64 * LANE_WORDS` scalar `sample_world` + BFS runs seeded from the same
+/// children.
+fn lane_bfs_equals_scalar_bfs_at(spec: &SmallGraph) {
     let g = build(spec);
     let seq = SeedSequence::new(spec.seed ^ 0xBEEF);
     let query = VertexId(0);
     for domain in domains(&g) {
-        let batch = WorldBatch::<W>::sample(&g, &domain, &seq, 0, block_worlds::<W>());
-        let mut lane_bfs = LaneBfs::<W>::new(g.vertex_count());
+        let batch = WorldBatch::<LANE_WORDS>::sample(&g, &domain, &seq, 0, WORLDS);
+        let mut lane_bfs = LaneBfs::<LANE_WORDS>::new(g.vertex_count());
         lane_bfs.run_graph(&g, query, &batch);
         let mut world = EdgeSubset::for_graph(&g);
         let mut bfs = Bfs::new(g.vertex_count());
-        for lane in 0..block_worlds::<W>() {
+        for lane in 0..WORLDS {
             let mut rng = seq.rng(lane as u64);
             sample_world(&g, &domain, &mut rng, &mut world);
             bfs.reachable(&g, &world, query);
@@ -131,8 +137,7 @@ fn lane_bfs_equals_scalar_bfs_at<const W: usize>(spec: &SmallGraph) {
                 prop_assert_eq!(
                     bfs.was_visited(v),
                     lane_bfs.reached_mask(v.index())[word] >> bit & 1 == 1,
-                    "W {} lane {} vertex {}",
-                    W,
+                    "lane {} vertex {}",
                     lane,
                     v.index()
                 );
@@ -141,19 +146,19 @@ fn lane_bfs_equals_scalar_bfs_at<const W: usize>(spec: &SmallGraph) {
     }
 }
 
-/// Partial blocks (fewer than `64 * W` lanes) match the scalar reference on
-/// exactly the active lanes and keep inactive bits clear.
-fn partial_batches_match_scalar_prefix_at<const W: usize>(spec: &SmallGraph, lanes: u32) {
+/// Partial blocks (fewer than `64 * LANE_WORDS` lanes) match the scalar
+/// reference on exactly the active lanes and keep inactive bits clear.
+fn partial_batches_match_scalar_prefix_at(spec: &SmallGraph, lanes: u32) {
     let g = build(spec);
     let domain = EdgeSubset::full(&g);
     let seq = SeedSequence::new(spec.seed ^ 0xA11CE);
-    let batch = WorldBatch::<W>::sample(&g, &domain, &seq, 0, lanes);
+    let batch = WorldBatch::<LANE_WORDS>::sample(&g, &domain, &seq, 0, lanes);
     prop_assert_eq!(batch.lanes(), lanes);
     let active = batch.active_mask();
     for e in g.edge_ids() {
         let mask = batch.edge_mask(e);
-        for k in 0..W {
-            prop_assert_eq!(mask[k] & !active[k], 0, "W {} word {}", W, k);
+        for k in 0..LANE_WORDS {
+            prop_assert_eq!(mask[k] & !active[k], 0, "word {}", k);
         }
     }
     let mut scalar = EdgeSubset::for_graph(&g);
@@ -162,7 +167,7 @@ fn partial_batches_match_scalar_prefix_at<const W: usize>(spec: &SmallGraph, lan
         let mut rng = seq.rng(lane as u64);
         sample_world(&g, &domain, &mut rng, &mut scalar);
         batch.world(lane, &mut extracted);
-        prop_assert_eq!(&scalar, &extracted, "W {} lane {}", W, lane);
+        prop_assert_eq!(&scalar, &extracted, "lane {}", lane);
     }
 }
 
@@ -170,38 +175,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Lane `w` of the batch is bit-identical to the scalar world drawn
-    /// from child stream `first_label + w`, at every supported width.
+    /// from child stream `first_label + w`.
     #[test]
     fn batch_lanes_equal_scalar_worlds(spec in small_graph()) {
-        batch_lanes_equal_scalar_worlds_at::<1>(&spec);
-        batch_lanes_equal_scalar_worlds_at::<4>(&spec);
-        batch_lanes_equal_scalar_worlds_at::<8>(&spec);
+        batch_lanes_equal_scalar_worlds_at(&spec);
     }
 
     /// The lane-parallel reachability kernel agrees world-for-world with
-    /// scalar `sample_world` + BFS runs, at every supported width.
+    /// scalar `sample_world` + BFS runs.
     #[test]
     fn lane_bfs_equals_scalar_bfs_per_world(spec in small_graph()) {
-        lane_bfs_equals_scalar_bfs_at::<1>(&spec);
-        lane_bfs_equals_scalar_bfs_at::<4>(&spec);
-        lane_bfs_equals_scalar_bfs_at::<8>(&spec);
+        lane_bfs_equals_scalar_bfs_at(&spec);
     }
 
     /// Partial blocks (fewer lanes than the block holds) match the scalar
-    /// reference on exactly the active lanes and keep inactive bits clear.
-    /// `lanes` ranges over the widest block so each narrower width clamps
-    /// into its own valid range, covering mid-word and mid-block cuts.
+    /// reference on exactly the active lanes and keep inactive bits clear,
+    /// covering mid-word and mid-block cuts.
     #[test]
     fn partial_batches_match_scalar_prefix((spec, lanes) in (small_graph(), 1u32..512)) {
-        partial_batches_match_scalar_prefix_at::<1>(&spec, lanes.clamp(1, 63));
-        partial_batches_match_scalar_prefix_at::<4>(&spec, lanes.clamp(1, 255));
-        partial_batches_match_scalar_prefix_at::<8>(&spec, lanes);
+        partial_batches_match_scalar_prefix_at(&spec, lanes);
     }
 }
 
 /// Deterministic (non-proptest) regression: a batch over a domain with a
-/// certain edge in front must line up with the scalar stream, proving both
-/// engines share the draw-free fast path.
+/// certain edge in front must line up with the scalar stream and with
+/// `EdgeCoin::flip_one`, proving the engines share the draw-free fast path.
 #[test]
 fn certain_edges_keep_engines_aligned() {
     let mut b = GraphBuilder::new();
@@ -215,18 +213,29 @@ fn certain_edges_keep_engines_aligned() {
     let g = b.build();
     let domain = EdgeSubset::full(&g);
     let seq = SeedSequence::new(2024);
-    let batch = WorldBatch::<1>::sample(&g, &domain, &seq, 0, LANES);
+    let batch = WorldBatch::<LANE_WORDS>::sample(&g, &domain, &seq, 0, WORLDS);
     assert_eq!(
         batch.edge_mask(EdgeId(0)),
-        [!0u64],
+        [!0u64; LANE_WORDS],
         "certain edge in every lane"
     );
     let mut scalar = EdgeSubset::for_graph(&g);
     let mut extracted = EdgeSubset::for_graph(&g);
-    for lane in 0..LANES {
+    for lane in 0..WORLDS {
         let mut rng = seq.rng(lane as u64);
         sample_world(&g, &domain, &mut rng, &mut scalar);
         batch.world(lane, &mut extracted);
         assert_eq!(scalar, extracted, "lane {lane}");
+
+        let (word, bit) = (lane as usize / 64, lane % 64);
+        let mut rng = seq.rng(lane as u64);
+        for e in g.edge_ids() {
+            let coin = EdgeCoin::classify(g.probability(e).value());
+            assert_eq!(
+                batch.edge_mask(e)[word] >> bit & 1 == 1,
+                coin.flip_one(&mut rng),
+                "lane {lane}, edge {e:?}"
+            );
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the degraded-answer contract: a run stopped early —
 //! by a step-budget deadline or a cancellation token — must return a
 //! selection bit-identical to the same-seed uncancelled run's prefix
-//! (`selection_at(j)`), at every thread count and lane width. Degradation
+//! (`selection_at(j)`), at every thread count. Degradation
 //! moves the stop point; it never changes what was selected up to it.
 
 use flowmax::core::{Algorithm, CancelToken, Deadline, RunControl, Session, StopCause};
@@ -19,12 +19,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// `Deadline::steps(j)` yields exactly `selection_at(j)` of the
-    /// uncontrolled same-seed run — under every (threads, lanes) pairing,
-    /// all compared against a single-threaded reference.
+    /// uncontrolled same-seed run — at every thread count, all compared
+    /// against a single-threaded reference.
     #[test]
     fn step_budget_stop_is_bit_identical_to_the_full_runs_prefix(
-        (graph_seed, session_seed, j, threads_idx, lanes_idx)
-            in (0u64..200, 0u64..200, 0usize..=BUDGET, 0usize..3, 0usize..3)
+        (graph_seed, session_seed, j, threads_idx)
+            in (0u64..200, 0u64..200, 0usize..=BUDGET, 0usize..3)
     ) {
         let g = graph(graph_seed);
         let q = suggest_query(&g);
@@ -39,11 +39,9 @@ proptest! {
         prop_assert!(full.stopped.is_none());
 
         let threads = [1usize, 2, 8][threads_idx];
-        let lanes = [1usize, 4, 8][lanes_idx];
         let session = Session::new(&g)
             .with_seed(session_seed)
-            .with_threads(threads)
-            .with_lane_words(lanes);
+            .with_threads(threads);
         let control = RunControl::unlimited().with_deadline(Deadline::steps(j));
         let degraded = session
             .query(q).unwrap()
@@ -57,7 +55,7 @@ proptest! {
         prop_assert_eq!(
             degraded.selected.as_slice(),
             full.selection_at(expected_len),
-            "threads={} lanes={} j={}", threads, lanes, j
+            "threads={} j={}", threads, j
         );
         if j < full.selected.len() {
             prop_assert_eq!(degraded.stopped, Some(StopCause::StepBudget));

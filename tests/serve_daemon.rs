@@ -2,8 +2,7 @@
 //! protocol: ephemeral-port startup handshake, LOAD/SOLVE/STATS, streamed
 //! anytime steps, protocol-error recovery, the deterministic-replay
 //! contract *on the wire* (f64 `Display` is shortest-roundtrip, so equal
-//! RESULT lines mean bit-equal values), wide-lane replays, backpressure
-//! formatting, and the graceful SHUTDOWN contract: every open connection
+//! RESULT lines mean bit-equal values), backpressure formatting, and the graceful SHUTDOWN contract: every open connection
 //! gets a terminal line, never a raw EOF.
 
 use std::io::{BufRead, BufReader, Write};
@@ -25,18 +24,15 @@ impl Drop for DaemonGuard {
     }
 }
 
-/// Spawns `flowmax-serve --port 0 <extra_args>` with `envs` set and reads
-/// the `LISTENING <port>` banner.
-fn spawn_daemon(extra_args: &[&str], envs: &[(&str, &str)]) -> (DaemonGuard, u16) {
+/// Spawns `flowmax-serve --port 0 <extra_args>` and reads the
+/// `LISTENING <port>` banner.
+fn spawn_daemon(extra_args: &[&str]) -> (DaemonGuard, u16) {
     let mut command = Command::new(env!("CARGO_BIN_EXE_flowmax-serve"));
     command
         .args(["--port", "0"])
         .args(extra_args)
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
-    for (key, value) in envs {
-        command.env(key, value);
-    }
     let mut child = command.spawn().expect("spawn flowmax-serve");
     let stdout = child.stdout.take().expect("piped stdout");
     let guard = DaemonGuard(child);
@@ -146,7 +142,7 @@ fn daemon_serves_the_line_protocol_end_to_end() {
     let dir = std::env::temp_dir().join(format!("flowmax-serve-test-{}", std::process::id()));
     let path = write_graph(&graph, &dir, "graph.txt");
 
-    let (mut guard, port) = spawn_daemon(&["--threads", "2", "--seed", "42"], &[]);
+    let (mut guard, port) = spawn_daemon(&["--threads", "2", "--seed", "42"]);
     let mut client = Client::connect(port);
 
     // LOAD announces the fingerprint the SOLVE commands key on.
@@ -225,7 +221,7 @@ fn load_accepts_spaced_paths_and_bare_commands_reject_garbage() {
     let dir = std::env::temp_dir().join(format!("flowmax serve spaced {}", std::process::id()));
     let path = write_graph(&graph, &dir, "my graph file.txt");
 
-    let (mut guard, port) = spawn_daemon(&["--threads", "1"], &[]);
+    let (mut guard, port) = spawn_daemon(&["--threads", "1"]);
     let mut client = Client::connect(port);
 
     // The spaced path loads; the old first-token parse would have tried
@@ -259,41 +255,29 @@ fn load_accepts_spaced_paths_and_bare_commands_reject_garbage() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The replay contract across lane widths, on the wire: a daemon running
-/// 512-world SIMD lane blocks answers the same SOLVE line with RESULT and
-/// STEP lines byte-identical to a narrow (64-world) daemon's.
+/// `--lanes` survives only as a compatibility option: the daemon starts
+/// with the one lane width it samples at, and refuses to start with any
+/// other value, naming the option.
 #[test]
-fn wide_lane_daemon_replays_narrow_results_byte_identically() {
-    let (graph, query) = test_graph();
-    let dir = std::env::temp_dir().join(format!("flowmax-serve-lanes-{}", std::process::id()));
-    let path = write_graph(&graph, &dir, "graph.txt");
-    let solve = format!(
-        "SOLVE {{fp}} query={} budget=4 samples=300 seed=11 stream",
-        query.0
-    );
+fn lanes_option_accepts_only_the_fixed_width() {
+    let (mut guard, port) = spawn_daemon(&["--threads", "1", "--lanes", "8"]);
+    let mut client = Client::connect(port);
+    let (_, bye) = client.roundtrip("SHUTDOWN");
+    assert_eq!(bye, "OK BYE");
+    wait_for_clean_exit(&mut guard);
 
-    let mut transcripts = Vec::new();
-    for lanes in ["1", "8"] {
-        let (mut guard, port) = spawn_daemon(
-            &["--threads", "2", "--lanes", lanes],
-            &[("FLOWMAX_LANES", lanes)],
-        );
-        let mut client = Client::connect(port);
-        let fp = client.load(&path);
-        let (steps, result) = client.roundtrip(&solve.replace("{fp}", &fp));
+    for lanes in ["1", "4", "16", "wide"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_flowmax-serve"))
+            .args(["--port", "0", "--lanes", lanes])
+            .output()
+            .expect("run flowmax-serve");
+        assert!(!output.status.success(), "--lanes {lanes} must be refused");
+        let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
-            result.starts_with("OK RESULT flow="),
-            "lanes {lanes}: {result}"
+            stderr.contains(&format!("invalid value for --lanes: \"{lanes}\"")),
+            "--lanes {lanes}: {stderr}"
         );
-        transcripts.push((steps, result));
-        let (_, bye) = client.roundtrip("SHUTDOWN");
-        assert_eq!(bye, "OK BYE");
-        wait_for_clean_exit(&mut guard);
     }
-    let (narrow, wide) = (&transcripts[0], &transcripts[1]);
-    assert_eq!(narrow.1, wide.1, "RESULT line diverged across lane widths");
-    assert_eq!(narrow.0, wide.0, "STEP stream diverged across lane widths");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An oversized request line — 10 MB of garbage without a newline — is
@@ -302,7 +286,7 @@ fn wide_lane_daemon_replays_narrow_results_byte_identically() {
 /// the newline instead of buffering the flood or hanging up.
 #[test]
 fn oversized_request_line_is_rejected_and_the_connection_survives() {
-    let (mut guard, port) = spawn_daemon(&["--threads", "1"], &[]);
+    let (mut guard, port) = spawn_daemon(&["--threads", "1"]);
     let mut client = Client::connect(port);
 
     let garbage = vec![b'x'; 10 * 1024 * 1024];
@@ -337,7 +321,7 @@ fn deadline_and_cancel_verbs_degrade_queries_on_the_wire() {
     let dir = std::env::temp_dir().join(format!("flowmax-serve-deadline-{}", std::process::id()));
     let path = write_graph(&graph, &dir, "graph.txt");
 
-    let (mut guard, port) = spawn_daemon(&["--threads", "1", "--start-paused"], &[]);
+    let (mut guard, port) = spawn_daemon(&["--threads", "1", "--start-paused"]);
     let mut control = Client::connect(port);
     let fp = control.load(&path);
 
@@ -413,20 +397,17 @@ fn overload_hints_scale_with_queue_depth_on_the_wire() {
     let dir = std::env::temp_dir().join(format!("flowmax-serve-backoff-{}", std::process::id()));
     let path = write_graph(&graph, &dir, "graph.txt");
 
-    let (mut guard, port) = spawn_daemon(
-        &[
-            "--threads",
-            "1",
-            "--queue-capacity",
-            "4",
-            "--coalesce-max",
-            "2",
-            "--retry-after-ms",
-            "5",
-            "--start-paused",
-        ],
-        &[],
-    );
+    let (mut guard, port) = spawn_daemon(&[
+        "--threads",
+        "1",
+        "--queue-capacity",
+        "4",
+        "--coalesce-max",
+        "2",
+        "--retry-after-ms",
+        "5",
+        "--start-paused",
+    ]);
     let mut control = Client::connect(port);
     let fp = control.load(&path);
 
@@ -472,10 +453,8 @@ fn overload_hints_scale_with_queue_depth_on_the_wire() {
 #[cfg(feature = "faults")]
 #[test]
 fn fault_plan_injects_connection_faults_with_terminal_lines() {
-    let (mut guard, port) = spawn_daemon(
-        &["--threads", "1", "--fault-plan", "daemon/conn@1=always"],
-        &[],
-    );
+    let (mut guard, port) =
+        spawn_daemon(&["--threads", "1", "--fault-plan", "daemon/conn@1=always"]);
 
     // Connection 0 is clean.
     let mut first = Client::connect(port);
@@ -532,18 +511,15 @@ fn overload_formatting_and_shutdown_terminal_lines() {
     let dir = std::env::temp_dir().join(format!("flowmax-serve-shutdown-{}", std::process::id()));
     let path = write_graph(&graph, &dir, "graph.txt");
 
-    let (mut guard, port) = spawn_daemon(
-        &[
-            "--threads",
-            "1",
-            "--queue-capacity",
-            "1",
-            "--retry-after-ms",
-            "7",
-            "--start-paused",
-        ],
-        &[],
-    );
+    let (mut guard, port) = spawn_daemon(&[
+        "--threads",
+        "1",
+        "--queue-capacity",
+        "1",
+        "--retry-after-ms",
+        "7",
+        "--start-paused",
+    ]);
     let mut loader = Client::connect(port);
     let fp = loader.load(&path);
 
