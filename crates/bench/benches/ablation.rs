@@ -1,9 +1,9 @@
-//! Criterion: ablations of the design choices DESIGN.md calls out —
-//! memoization on/off, exact vs sampled small components, CI race budgets,
-//! and the DS penalty parameter.
+//! Criterion: ablations of the heuristics of §6.2–6.4 — memoization on/off,
+//! exact vs sampled small components, CI race budgets, and the DS penalty
+//! parameter.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flowmax_core::{greedy_select, GreedyConfig};
+use flowmax_core::{greedy_select, GreedyConfig, NoObserver, RunControl};
 use flowmax_datasets::{suggest_query, PartitionedConfig};
 
 fn bench_ablation(c: &mut Criterion) {
@@ -14,15 +14,16 @@ fn bench_ablation(c: &mut Criterion) {
         g.samples = 300;
         g
     };
+    let select = |cfg: &GreedyConfig| {
+        greedy_select(&graph, q, cfg, &RunControl::unlimited(), &mut NoObserver)
+    };
 
     let mut group = c.benchmark_group("ablation");
     group.sample_size(10);
 
-    group.bench_function("memo_off", |b| {
-        b.iter(|| greedy_select(&graph, q, &base(1)).final_flow)
-    });
+    group.bench_function("memo_off", |b| b.iter(|| select(&base(1)).final_flow));
     group.bench_function("memo_on", |b| {
-        b.iter(|| greedy_select(&graph, q, &base(1).with_memo()).final_flow)
+        b.iter(|| select(&base(1).with_memo()).final_flow)
     });
 
     // Exact enumeration for small components instead of sampling them.
@@ -30,7 +31,7 @@ fn bench_ablation(c: &mut Criterion) {
         b.iter(|| {
             let mut cfg = base(1).with_memo();
             cfg.exact_edge_cap = 12;
-            greedy_select(&graph, q, &cfg).final_flow
+            select(&cfg).final_flow
         })
     });
 
@@ -39,13 +40,13 @@ fn bench_ablation(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = base(1).with_memo().with_ds();
                 cfg.ds_penalty_c = c_param;
-                greedy_select(&graph, q, &cfg).final_flow
+                select(&cfg).final_flow
             })
         });
     }
 
     group.bench_function("ci_race", |b| {
-        b.iter(|| greedy_select(&graph, q, &base(1).with_memo().with_ci()).final_flow)
+        b.iter(|| select(&base(1).with_memo().with_ci()).final_flow)
     });
 
     // The §2 alternative the paper rejected: analytic reliability bounds
@@ -53,7 +54,7 @@ fn bench_ablation(c: &mut Criterion) {
     // loose to replace per-component estimation.
     {
         use flowmax_graph::{reliability_bounds, EdgeSubset};
-        let selection = greedy_select(&graph, q, &base(1).with_memo()).selected;
+        let selection = select(&base(1).with_memo()).selected;
         let subset = EdgeSubset::from_edges(graph.edge_count(), selection.iter().copied());
         group.bench_function("analytic_reliability_bounds", |b| {
             b.iter(|| reliability_bounds(&graph, &subset, q).lower.len())

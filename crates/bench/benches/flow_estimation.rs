@@ -3,7 +3,9 @@
 //! plus the analytic re-evaluation path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flowmax_core::{EstimatorConfig, FTree, GreedyConfig, SamplingProvider};
+use flowmax_core::{
+    greedy_select, EstimatorConfig, FTree, GreedyConfig, NoObserver, RunControl, SamplingProvider,
+};
 use flowmax_datasets::{suggest_query, PartitionedConfig};
 use flowmax_graph::{EdgeId, EdgeSubset};
 use flowmax_sampling::{sample_flow, SeedSequence};
@@ -14,7 +16,8 @@ fn bench_flow_estimation(c: &mut Criterion) {
     // A realistic selection (with cycles) chosen by the greedy itself.
     let mut cfg = GreedyConfig::ft(60, 5).with_memo();
     cfg.samples = 300;
-    let selection = flowmax_core::greedy_select(&graph, q, &cfg).selected;
+    let selection =
+        greedy_select(&graph, q, &cfg, &RunControl::unlimited(), &mut NoObserver).selected;
     let subset = EdgeSubset::from_edges(graph.edge_count(), selection.iter().copied());
 
     let mut group = c.benchmark_group("flow_estimation");

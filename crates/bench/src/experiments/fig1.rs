@@ -6,10 +6,10 @@
 //! `Pr(g1)` computation (Eq. 1 example) and reproduce the *dominance shape*:
 //! `flow(all 10) > flow(best 5) > flow(Dijkstra tree with 6 edges)`.
 
-use flowmax_core::{dijkstra_select, exact_max_flow};
+use flowmax_core::{dijkstra_select, exact_max_flow, NoObserver, RunControl};
 use flowmax_graph::{
-    exact_expected_flow, EdgeSubset, GraphBuilder, ProbabilisticGraph, Probability, VertexId,
-    Weight, DEFAULT_ENUMERATION_CAP,
+    exact_expected_flow, max_probability_spanning_tree_full, EdgeSubset, GraphBuilder,
+    ProbabilisticGraph, Probability, VertexId, Weight, DEFAULT_ENUMERATION_CAP,
 };
 
 use crate::report::{Cell, Report, Row};
@@ -41,7 +41,9 @@ pub fn fig1(_scale: &Scale, _seed: u64) -> Report {
 
     let all = EdgeSubset::full(&g);
     let flow_all = exact_expected_flow(&g, &all, q, false, DEFAULT_ENUMERATION_CAP).unwrap();
-    let dj = dijkstra_select(&g, q, usize::MAX, false);
+    let tree = max_probability_spanning_tree_full(&g, q);
+    let control = RunControl::unlimited();
+    let dj = dijkstra_select(&g, &tree, usize::MAX, false, &control, &mut NoObserver);
     let opt5 = exact_max_flow(&g, q, 5, false).unwrap();
 
     let rows = vec![

@@ -1,5 +1,5 @@
 //! Fig. 9 — the four "real world" workloads, rebuilt with the documented
-//! substitute generators (DESIGN.md §3.4): San Joaquin road network,
+//! substitute generators (`flowmax-datasets` README): San Joaquin road network,
 //! Facebook social circle, DBLP collaboration, YouTube friendships.
 
 use flowmax_core::Algorithm;

@@ -1,5 +1,5 @@
 //! The experiment registry: every table/figure of the paper's §7 mapped to a
-//! runnable function (see DESIGN.md §4 for the index).
+//! runnable function (the crate README lists the index).
 
 pub mod fig1;
 pub mod fig5;

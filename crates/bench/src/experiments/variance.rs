@@ -4,7 +4,9 @@
 //! because `Var(ΣX) = ΣVar(X) + 2ΣCov` and component independence removes
 //! the covariance terms — while mono parts are computed exactly.
 
-use flowmax_core::{greedy_select, EstimatorConfig, FTree, GreedyConfig, SamplingProvider};
+use flowmax_core::{
+    greedy_select, EstimatorConfig, FTree, GreedyConfig, NoObserver, RunControl, SamplingProvider,
+};
 use flowmax_datasets::{suggest_query, PartitionedConfig};
 use flowmax_graph::{EdgeId, EdgeSubset, ProbabilisticGraph, VertexId};
 use flowmax_sampling::{sample_flow, SeedSequence};
@@ -50,7 +52,7 @@ pub fn variance(scale: &Scale, seed: u64) -> Report {
     // A fixed selection with cycles: the FT+M greedy's own choice.
     let mut cfg = GreedyConfig::ft(scale.pick(120, 70), seed).with_memo();
     cfg.samples = 300;
-    let selection = greedy_select(&g, q, &cfg).selected;
+    let selection = greedy_select(&g, q, &cfg, &RunControl::unlimited(), &mut NoObserver).selected;
 
     // Low-noise reference flow.
     let reference = {

@@ -1,8 +1,8 @@
 //! # flowmax-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§7), plus Criterion micro-benchmarks. See DESIGN.md §4 for
-//! the experiment index and EXPERIMENTS.md for paper-vs-measured results.
+//! evaluation (§7), plus Criterion micro-benchmarks. The crate README lists
+//! the experiment index.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -8,7 +8,7 @@ use flowmax_graph::ProbabilisticGraph;
 use crate::report::Cell;
 
 /// Experiment scale: the paper's parameters, or a laptop-friendly reduction
-/// (documented per experiment in EXPERIMENTS.md).
+/// (each experiment's [`Scale::pick`] calls give both sizes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// `true` = the paper's full sizes (slow); `false` = reduced defaults.

@@ -7,39 +7,30 @@
 //! analytically (Theorem 2) — this baseline never samples, which is why it
 //! is the fastest and least effective algorithm in the paper's evaluation.
 
-use flowmax_graph::{
-    max_probability_spanning_tree_full, EdgeId, ProbabilisticGraph, SpanningTree, VertexId,
-};
+use flowmax_graph::{EdgeId, ProbabilisticGraph, SpanningTree};
 
+use crate::cancel::RunControl;
 use crate::estimator::{EstimatorConfig, SamplingProvider};
 use crate::ftree::FTree;
 use crate::metrics::SelectionMetrics;
 use crate::selection::greedy::SelectionOutcome;
-use crate::selection::observer::{NoObserver, SelectionObserver, SelectionStep};
+use crate::selection::observer::{SelectionObserver, SelectionStep};
 
-/// Runs the Dijkstra spanning-tree baseline with edge budget `budget`.
+/// Runs the Dijkstra baseline: the first `budget` edges of `tree`, the
+/// query vertex's maximum-probability spanning tree
+/// ([`flowmax_graph::max_probability_spanning_tree_full`]; sessions cache
+/// it), streaming one [`SelectionStep`] per edge. `control` is checked
+/// between iterations, as in [`greedy_select`](crate::selection::greedy::greedy_select).
 pub fn dijkstra_select(
-    graph: &ProbabilisticGraph,
-    query: VertexId,
-    budget: usize,
-    include_query: bool,
-) -> SelectionOutcome {
-    let tree = max_probability_spanning_tree_full(graph, query);
-    dijkstra_select_from_tree(graph, &tree, budget, include_query, &mut NoObserver)
-}
-
-/// [`dijkstra_select`] over a precomputed spanning tree (the tree depends
-/// only on the graph and the query vertex, so multi-query sessions cache
-/// it), streaming one [`SelectionStep`] per activated tree edge.
-pub fn dijkstra_select_from_tree(
     graph: &ProbabilisticGraph,
     tree: &SpanningTree,
     budget: usize,
     include_query: bool,
+    control: &RunControl,
     observer: &mut dyn SelectionObserver,
 ) -> SelectionOutcome {
     let query = tree.source;
-    let selected: Vec<EdgeId> = tree.first_edges(budget);
+    let mut selected: Vec<EdgeId> = tree.first_edges(budget);
 
     // A spanning tree is mono-connected: the F-tree computes its flow
     // exactly with zero sampling. Settle order guarantees every insertion is
@@ -48,7 +39,12 @@ pub fn dijkstra_select_from_tree(
     let mut provider = SamplingProvider::new(EstimatorConfig::exact(), 0);
     let mut flow_trace = Vec::with_capacity(selected.len());
     let mut prev_flow = 0.0;
+    let mut stopped = None;
     for (iter, &e) in selected.iter().enumerate() {
+        if let Some(cause) = control.should_stop(iter) {
+            stopped = Some(cause);
+            break;
+        }
         ftree
             .insert_edge(graph, e, &mut provider)
             .expect("settle order inserts parents before children");
@@ -67,6 +63,7 @@ pub fn dijkstra_select_from_tree(
         });
         prev_flow = flow;
     }
+    selected.truncate(flow_trace.len());
     let final_flow = flow_trace.last().copied().unwrap_or(0.0);
     let metrics = SelectionMetrics {
         insert_case_ii: selected.len() as u64,
@@ -77,19 +74,27 @@ pub fn dijkstra_select_from_tree(
         flow_trace,
         final_flow,
         metrics,
-        stopped: None,
+        stopped,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::selection::observer::NoObserver;
     use flowmax_graph::{
-        exact_expected_flow, EdgeSubset, GraphBuilder, Probability, Weight, DEFAULT_ENUMERATION_CAP,
+        exact_expected_flow, max_probability_spanning_tree_full, EdgeSubset, GraphBuilder,
+        Probability, VertexId, Weight, DEFAULT_ENUMERATION_CAP,
     };
 
     fn p(v: f64) -> Probability {
         Probability::new(v).unwrap()
+    }
+
+    fn select(g: &ProbabilisticGraph, budget: usize, include_query: bool) -> SelectionOutcome {
+        let tree = max_probability_spanning_tree_full(g, VertexId(0));
+        let control = RunControl::unlimited();
+        dijkstra_select(g, &tree, budget, include_query, &control, &mut NoObserver)
     }
 
     fn graph() -> ProbabilisticGraph {
@@ -105,7 +110,7 @@ mod tests {
     #[test]
     fn selects_tree_edges_in_settle_order() {
         let g = graph();
-        let out = dijkstra_select(&g, VertexId(0), 3, false);
+        let out = select(&g, 3, false);
         // Best paths: 0-1 (0.9), then 1-2 (0.72 > 0.3 direct), then 2-3.
         assert_eq!(out.selected, vec![EdgeId(0), EdgeId(1), EdgeId(3)]);
     }
@@ -113,7 +118,7 @@ mod tests {
     #[test]
     fn flow_is_exact_for_the_tree() {
         let g = graph();
-        let out = dijkstra_select(&g, VertexId(0), 3, false);
+        let out = select(&g, 3, false);
         let subset = EdgeSubset::from_edges(g.edge_count(), out.selected.iter().copied());
         let exact =
             exact_expected_flow(&g, &subset, VertexId(0), false, DEFAULT_ENUMERATION_CAP).unwrap();
@@ -124,7 +129,7 @@ mod tests {
     #[test]
     fn budget_truncates() {
         let g = graph();
-        let out = dijkstra_select(&g, VertexId(0), 1, false);
+        let out = select(&g, 1, false);
         assert_eq!(out.selected, vec![EdgeId(0)]);
         assert!((out.final_flow - 0.9).abs() < 1e-12);
     }
@@ -132,7 +137,7 @@ mod tests {
     #[test]
     fn flow_trace_matches_length() {
         let g = graph();
-        let out = dijkstra_select(&g, VertexId(0), 2, false);
+        let out = select(&g, 2, false);
         assert_eq!(out.flow_trace.len(), 2);
         assert!(out.flow_trace[1] > out.flow_trace[0]);
     }

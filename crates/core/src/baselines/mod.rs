@@ -3,5 +3,5 @@
 pub mod dijkstra;
 pub mod naive;
 
-pub use dijkstra::{dijkstra_select, dijkstra_select_from_tree};
-pub use naive::{naive_select, naive_select_observed, NaiveConfig};
+pub use dijkstra::dijkstra_select;
+pub use naive::{naive_select, NaiveConfig};

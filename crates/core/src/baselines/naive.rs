@@ -10,10 +10,11 @@
 use flowmax_graph::{EdgeId, EdgeSubset, ProbabilisticGraph, VertexId};
 use flowmax_sampling::{default_threads, ParallelEstimator, SeedSequence};
 
+use crate::cancel::RunControl;
 use crate::metrics::SelectionMetrics;
 use crate::selection::candidates::CandidateSet;
 use crate::selection::greedy::SelectionOutcome;
-use crate::selection::observer::{NoObserver, SelectionObserver, SelectionStep};
+use crate::selection::observer::{SelectionObserver, SelectionStep};
 
 /// Configuration of the naive baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,22 +51,14 @@ impl NaiveConfig {
     }
 }
 
-/// Runs the naive baseline.
+/// Runs the naive baseline, streaming one [`SelectionStep`] per committed
+/// edge to the passive `observer`. `control` is checked between
+/// iterations, as in [`greedy_select`](crate::selection::greedy::greedy_select).
 pub fn naive_select(
     graph: &ProbabilisticGraph,
     query: VertexId,
     config: &NaiveConfig,
-) -> SelectionOutcome {
-    naive_select_observed(graph, query, config, &mut NoObserver)
-}
-
-/// [`naive_select`] with a [`SelectionObserver`] receiving one
-/// [`SelectionStep`] per committed edge, while the run executes. The
-/// observer is passive: observed and unobserved runs are bit-identical.
-pub fn naive_select_observed(
-    graph: &ProbabilisticGraph,
-    query: VertexId,
-    config: &NaiveConfig,
+    control: &RunControl,
     observer: &mut dyn SelectionObserver,
 ) -> SelectionOutcome {
     let engine = ParallelEstimator::new(config.threads);
@@ -79,8 +72,13 @@ pub fn naive_select_observed(
     let mut metrics = SelectionMetrics::default();
     let mut flow_trace = Vec::new();
     let mut final_flow = 0.0;
+    let mut stopped = None;
 
     for iter in 0..config.budget {
+        if let Some(cause) = control.should_stop(iter) {
+            stopped = Some(cause);
+            break;
+        }
         let mut best: Option<(EdgeId, f64)> = None;
         let mut pool = 0usize;
         for e in candidates.to_vec() {
@@ -133,17 +131,23 @@ pub fn naive_select_observed(
         flow_trace,
         final_flow,
         metrics,
-        stopped: None,
+        stopped,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::selection::observer::NoObserver;
     use flowmax_graph::{GraphBuilder, Probability, Weight};
 
     fn p(v: f64) -> Probability {
         Probability::new(v).unwrap()
+    }
+
+    fn select(g: &ProbabilisticGraph, config: &NaiveConfig) -> SelectionOutcome {
+        let control = RunControl::unlimited();
+        naive_select(g, VertexId(0), config, &control, &mut NoObserver)
     }
 
     fn small_graph() -> ProbabilisticGraph {
@@ -160,7 +164,7 @@ mod tests {
     #[test]
     fn picks_high_value_branch_first() {
         let g = small_graph();
-        let out = naive_select(&g, VertexId(0), &NaiveConfig::paper(1, 1));
+        let out = select(&g, &NaiveConfig::paper(1, 1));
         assert_eq!(out.selected, vec![EdgeId(0)]);
         // Sampled flow of a single 0.9 edge to weight 10 ≈ 9.
         assert!(
@@ -173,7 +177,7 @@ mod tests {
     #[test]
     fn exhausts_candidates() {
         let g = small_graph();
-        let out = naive_select(&g, VertexId(0), &NaiveConfig::paper(10, 1));
+        let out = select(&g, &NaiveConfig::paper(10, 1));
         assert_eq!(out.selected.len(), 3);
         assert_eq!(out.flow_trace.len(), 3);
     }
@@ -181,7 +185,7 @@ mod tests {
     #[test]
     fn samples_account_for_whole_subgraph() {
         let g = small_graph();
-        let out = naive_select(&g, VertexId(0), &NaiveConfig::paper(2, 1));
+        let out = select(&g, &NaiveConfig::paper(2, 1));
         // Iteration 1: 2 probes × 1000 samples; iteration 2: ≥ 2 probes.
         assert!(out.metrics.samples_drawn >= 4000);
         assert!(out.metrics.edge_samples_drawn > out.metrics.samples_drawn);
@@ -190,8 +194,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let g = small_graph();
-        let a = naive_select(&g, VertexId(0), &NaiveConfig::paper(3, 9));
-        let b = naive_select(&g, VertexId(0), &NaiveConfig::paper(3, 9));
+        let a = select(&g, &NaiveConfig::paper(3, 9));
+        let b = select(&g, &NaiveConfig::paper(3, 9));
         assert_eq!(a.selected, b.selected);
         assert_eq!(a.final_flow, b.final_flow);
     }
@@ -199,13 +203,9 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_the_outcome() {
         let g = small_graph();
-        let base = naive_select(&g, VertexId(0), &NaiveConfig::paper(3, 9).with_threads(1));
+        let base = select(&g, &NaiveConfig::paper(3, 9).with_threads(1));
         for threads in [2, 8] {
-            let out = naive_select(
-                &g,
-                VertexId(0),
-                &NaiveConfig::paper(3, 9).with_threads(threads),
-            );
+            let out = select(&g, &NaiveConfig::paper(3, 9).with_threads(threads));
             assert_eq!(base.selected, out.selected, "threads={threads}");
             assert_eq!(base.final_flow, out.final_flow, "threads={threads}");
             assert_eq!(base.flow_trace, out.flow_trace, "threads={threads}");

@@ -115,8 +115,8 @@ impl Deadline {
 
 /// Everything that can stop a controlled run, checked between iterations.
 ///
-/// The default control never stops a run, so uncontrolled entry points
-/// delegate to controlled ones at zero behavioral cost.
+/// Every selection algorithm takes one; the default
+/// ([`RunControl::unlimited`]) never stops a run.
 #[derive(Debug, Clone, Default)]
 pub struct RunControl {
     cancel: Option<CancelToken>,

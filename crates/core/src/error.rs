@@ -32,7 +32,7 @@ pub enum CoreError {
     /// be undefined.
     ZeroSamples,
     /// The algorithm name did not match any of the paper's seven algorithms
-    /// (see [`Algorithm::parse`](crate::solver::Algorithm::parse)).
+    /// (see [`Algorithm`](crate::solver::Algorithm)'s `FromStr`).
     UnknownAlgorithm(String),
     /// A worker thread panicked while executing the query. The panic was
     /// contained: the worker pool and the serving process stay up, only
@@ -44,14 +44,6 @@ pub enum CoreError {
     /// silent stream end, so clients can distinguish an orderly shutdown
     /// from a crash.
     ShuttingDown,
-    /// A controlled batch run received a run-control slice whose length
-    /// matches neither zero (all uncontrolled) nor the spec count.
-    ControlMismatch {
-        /// Number of controls passed.
-        controls: usize,
-        /// Number of query specs in the batch.
-        specs: usize,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -95,11 +87,6 @@ impl fmt::Display for CoreError {
             CoreError::ShuttingDown => {
                 write!(f, "the server shut down before the query could run")
             }
-            CoreError::ControlMismatch { controls, specs } => write!(
-                f,
-                "{controls} run controls for {specs} query specs (pass one control per spec, \
-                 or none to leave the batch uncontrolled)"
-            ),
         }
     }
 }

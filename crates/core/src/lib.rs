@@ -8,6 +8,10 @@
 //! number of queries through its typed builder, `Result`-based errors, and
 //! anytime results ([`SolveRun`]) that stream per-iteration
 //! [`SelectionStep`] events and answer every budget `≤ k` from one run.
+//! A [`RunControl`] set with [`QueryBuilder::control`] stops any algorithm
+//! between iterations. Each layer below has one entry point with the
+//! widest signature: [`greedy_select`], [`naive_select`],
+//! [`dijkstra_select`] and [`evaluate_selection`].
 //!
 //! Quick start:
 //!
@@ -40,7 +44,7 @@
 //! queue rejects with [`ServeError::Overloaded`] carrying a retry-after
 //! hint, instead of buffering without limit. Queued queries against the
 //! same graph **coalesce** (up to [`ServeConfig::coalesce_max`]) into one
-//! [`Session::run_many_with`] batch over the persistent worker pool, and
+//! [`Session::run_many`] batch over the persistent worker pool, and
 //! every query's [`Ticket`] streams anytime [`ServeEvent::Step`] events
 //! while the batch runs. The serving contract is **deterministic replay**:
 //! a result is a pure function of (graph fingerprint, [`QueryParams`],
@@ -69,7 +73,7 @@ pub mod serve;
 pub mod session;
 pub mod solver;
 
-pub use baselines::{dijkstra_select, dijkstra_select_from_tree, naive_select, NaiveConfig};
+pub use baselines::{dijkstra_select, naive_select, NaiveConfig};
 pub use cancel::{CancelToken, Deadline, RunControl, StopCause};
 pub use clock::SoftDeadline;
 pub use error::CoreError;
@@ -81,9 +85,8 @@ pub use ftree::{
 };
 pub use metrics::SelectionMetrics;
 pub use selection::{
-    greedy_select, greedy_select_controlled, greedy_select_observed, CandidateSet, DelayTracker,
-    GreedyConfig, MemoProvider, NoObserver, ProbeEngine, SelectionObserver, SelectionOutcome,
-    SelectionStep,
+    greedy_select, CandidateSet, DelayTracker, GreedyConfig, MemoProvider, NoObserver, ProbeEngine,
+    SelectionObserver, SelectionOutcome, SelectionStep,
 };
 pub use serve::{
     FlowServer, QueryParams, ServeConfig, ServeError, ServeEvent, ServeResult, ServeStats, Ticket,
@@ -91,4 +94,4 @@ pub use serve::{
 pub use session::{
     QueryBuilder, QuerySpec, Session, SessionState, SolveRun, DEFAULT_SPANNING_CACHE_CAPACITY,
 };
-pub use solver::{evaluate_selection, evaluate_selection_with_threads, Algorithm};
+pub use solver::{evaluate_selection, Algorithm};

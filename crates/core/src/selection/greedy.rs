@@ -25,7 +25,7 @@ use crate::metrics::SelectionMetrics;
 use crate::selection::candidates::CandidateSet;
 use crate::selection::delayed::DelayTracker;
 use crate::selection::memo::MemoProvider;
-use crate::selection::observer::{NoObserver, SelectionObserver, SelectionStep};
+use crate::selection::observer::{SelectionObserver, SelectionStep};
 use crate::selection::racing::RaceDriver;
 
 /// Which engine probes candidates and commits the winners.
@@ -154,32 +154,13 @@ pub(crate) struct ProbeRecord {
     pub(crate) replay: Option<CommitReplay>,
 }
 
-/// Runs the greedy selection (§6.1) over `graph` from `query`.
+/// Runs the greedy selection (§6.1) over `graph` from `query`, streaming
+/// one [`SelectionStep`] per committed edge to `observer`. The observer is
+/// passive: observed and unobserved runs are bit-identical. `control`'s
+/// cancellation and deadlines are checked strictly *between* iterations,
+/// so a stopped run's selection is the uncontrolled run's prefix, bit for
+/// bit — [`SelectionOutcome::stopped`] records why it stopped.
 pub fn greedy_select(
-    graph: &ProbabilisticGraph,
-    query: VertexId,
-    config: &GreedyConfig,
-) -> SelectionOutcome {
-    greedy_select_observed(graph, query, config, &mut NoObserver)
-}
-
-/// [`greedy_select`] with a [`SelectionObserver`] receiving one
-/// [`SelectionStep`] per committed edge, while the run executes. The
-/// observer is passive: observed and unobserved runs are bit-identical.
-pub fn greedy_select_observed(
-    graph: &ProbabilisticGraph,
-    query: VertexId,
-    config: &GreedyConfig,
-    observer: &mut dyn SelectionObserver,
-) -> SelectionOutcome {
-    greedy_select_controlled(graph, query, config, &RunControl::unlimited(), observer)
-}
-
-/// [`greedy_select_observed`] under a [`RunControl`]: cancellation and
-/// deadlines are checked strictly *between* iterations, so a stopped run's
-/// selection is the uncontrolled run's prefix, bit for bit —
-/// [`SelectionOutcome::stopped`] records why it stopped.
-pub fn greedy_select_controlled(
     graph: &ProbabilisticGraph,
     query: VertexId,
     config: &GreedyConfig,
@@ -490,10 +471,16 @@ fn probe_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::selection::observer::NoObserver;
     use flowmax_graph::{GraphBuilder, Probability, Weight};
 
     fn p(v: f64) -> Probability {
         Probability::new(v).unwrap()
+    }
+
+    fn select(g: &ProbabilisticGraph, cfg: &GreedyConfig) -> SelectionOutcome {
+        let control = RunControl::unlimited();
+        greedy_select(g, VertexId(0), cfg, &control, &mut NoObserver)
     }
 
     /// Q(0) with two branches: a high-value branch (weight 10 at v1) and a
@@ -514,7 +501,7 @@ mod tests {
     #[test]
     fn greedy_picks_high_value_edge_first() {
         let g = small_graph();
-        let out = greedy_select(&g, VertexId(0), &GreedyConfig::ft(1, 1));
+        let out = select(&g, &GreedyConfig::ft(1, 1));
         assert_eq!(out.selected, vec![EdgeId(0)], "weight-10 branch first");
         assert!((out.final_flow - 9.0).abs() < 1e-9);
         assert_eq!(out.flow_trace.len(), 1);
@@ -523,7 +510,7 @@ mod tests {
     #[test]
     fn budget_exhausts_or_candidates_do() {
         let g = small_graph();
-        let out = greedy_select(&g, VertexId(0), &GreedyConfig::ft(10, 1));
+        let out = select(&g, &GreedyConfig::ft(10, 1));
         assert_eq!(out.selected.len(), 4, "only 4 edges exist");
         assert_eq!(out.metrics.insertions(), 4);
     }
@@ -533,7 +520,7 @@ mod tests {
         let g = small_graph();
         let mut cfg = GreedyConfig::ft(4, 1);
         cfg.exact_edge_cap = 20;
-        let out = greedy_select(&g, VertexId(0), &cfg);
+        let out = select(&g, &cfg);
         for w in out.flow_trace.windows(2) {
             assert!(
                 w[1] >= w[0] - 1e-12,
@@ -546,8 +533,8 @@ mod tests {
     #[test]
     fn memoization_reduces_sampling() {
         let g = small_graph();
-        let base = greedy_select(&g, VertexId(0), &GreedyConfig::ft(4, 1));
-        let memo = greedy_select(&g, VertexId(0), &GreedyConfig::ft(4, 1).with_memo());
+        let base = select(&g, &GreedyConfig::ft(4, 1));
+        let memo = select(&g, &GreedyConfig::ft(4, 1).with_memo());
         assert!(
             memo.metrics.memo_hits > 0,
             "commits should reuse probe estimates"
@@ -572,7 +559,7 @@ mod tests {
             GreedyConfig::ft(4, 2).with_memo().with_ci().with_ds(),
         ];
         for cfg in configs {
-            let out = greedy_select(&g, VertexId(0), &cfg);
+            let out = select(&g, &cfg);
             assert!(!out.selected.is_empty());
             assert!(out.final_flow > 0.0);
         }
@@ -582,8 +569,8 @@ mod tests {
     fn deterministic_given_seed() {
         let g = small_graph();
         let cfg = GreedyConfig::ft(4, 7).with_memo().with_ci().with_ds();
-        let a = greedy_select(&g, VertexId(0), &cfg);
-        let b = greedy_select(&g, VertexId(0), &cfg);
+        let a = select(&g, &cfg);
+        let b = select(&g, &cfg);
         assert_eq!(a.selected, b.selected);
         assert_eq!(a.final_flow, b.final_flow);
     }
@@ -594,7 +581,7 @@ mod tests {
         b.add_vertices(3, Weight::ONE);
         b.add_edge(VertexId(1), VertexId(2), p(0.5)).unwrap();
         let g = b.build();
-        let out = greedy_select(&g, VertexId(0), &GreedyConfig::ft(3, 1));
+        let out = select(&g, &GreedyConfig::ft(3, 1));
         assert!(out.selected.is_empty());
         assert_eq!(out.final_flow, 0.0);
     }

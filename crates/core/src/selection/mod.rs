@@ -9,9 +9,6 @@ mod racing;
 
 pub use candidates::CandidateSet;
 pub use delayed::DelayTracker;
-pub use greedy::{
-    greedy_select, greedy_select_controlled, greedy_select_observed, GreedyConfig, ProbeEngine,
-    SelectionOutcome,
-};
+pub use greedy::{greedy_select, GreedyConfig, ProbeEngine, SelectionOutcome};
 pub use memo::MemoProvider;
 pub use observer::{NoObserver, SelectionObserver, SelectionStep};

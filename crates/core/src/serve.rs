@@ -17,7 +17,7 @@
 //!   unbounded buffering.
 //! * **Coalescing.** The dispatcher drains up to `coalesce_max` queued
 //!   queries against the same graph into one
-//!   [`Session::run_many_with`] batch, so concurrent clients share one
+//!   [`Session::run_many`] batch, so concurrent clients share one
 //!   session and the worker pool sees one large job instead of many small
 //!   ones. Batching never changes results: a batched query is bit-identical
 //!   to a solo run of the same spec.
@@ -27,9 +27,9 @@
 //!   [`ServeEvent::Done`] or [`ServeEvent::Failed`].
 //! * **Deadlines & cancellation.** A query may carry a wall-clock budget
 //!   ([`QueryParams::deadline_ms`], measured from admission) and every
-//!   submission can return a [`CancelToken`]
-//!   ([`FlowServer::submit_cancellable`]). Both stop the greedy run
-//!   *between* iterations; the ticket then ends with
+//!   [`FlowServer::submit`] returns a [`CancelToken`] beside its ticket.
+//!   Both stop the run, whatever its algorithm, *between* iterations;
+//!   the ticket then ends with
 //!   [`ServeEvent::Degraded`] whose committed prefix is bit-identical to
 //!   the same-seed full run's prefix — graceful degradation, not a
 //!   corrupted answer.
@@ -448,7 +448,11 @@ impl FlowServer {
     }
 
     /// Admits one query against the resident graph `fingerprint` and
-    /// returns its streaming [`Ticket`].
+    /// returns its streaming [`Ticket`] with the query's [`CancelToken`].
+    /// Cancelling (from any thread, at any time) stops the query at its
+    /// next iteration boundary; the ticket then ends with
+    /// [`ServeEvent::Degraded`] carrying the committed prefix —
+    /// bit-identical to the same-seed full run's prefix.
     ///
     /// # Errors
     ///
@@ -457,21 +461,7 @@ impl FlowServer {
     /// [`ServeError::Overloaded`] (with a retry hint) when the bounded
     /// queue is full — the backpressure contract: the server never buffers
     /// unboundedly and never blocks the submitting client.
-    pub fn submit(&self, fingerprint: u64, params: QueryParams) -> Result<Ticket, ServeError> {
-        self.submit_cancellable(fingerprint, params)
-            .map(|(ticket, _)| ticket)
-    }
-
-    /// [`submit`](FlowServer::submit) returning the query's [`CancelToken`]
-    /// alongside its ticket. Cancelling (from any thread, at any time)
-    /// stops the query at its next iteration boundary; the ticket then
-    /// ends with [`ServeEvent::Degraded`] carrying the committed prefix —
-    /// bit-identical to the same-seed full run's prefix.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`submit`](FlowServer::submit).
-    pub fn submit_cancellable(
+    pub fn submit(
         &self,
         fingerprint: u64,
         params: QueryParams,
@@ -640,6 +630,7 @@ fn execute_batch(inner: &Inner, batch: &[Pending]) {
                     .budget(p.params.budget)
                     .samples(p.params.samples)
                     .seed(seed)
+                    .control(p.control.clone())
                     .spec()
             })
         })
@@ -657,11 +648,10 @@ fn execute_batch(inner: &Inner, batch: &[Pending]) {
             return;
         }
     };
-    let controls: Vec<RunControl> = batch.iter().map(|p| p.control.clone()).collect();
     let batch_seq = inner.batches.load(Ordering::Relaxed);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         flowmax_faults::failpoint_keyed("serve/batch", batch_seq);
-        session.run_many_controlled(&specs, &controls, &|i, step| {
+        session.run_many(&specs, &|i, step| {
             // A disconnected client (dropped Ticket) is not an error; the
             // query still runs for the batch's other members.
             let _ = batch[i].tx.send(ServeEvent::Step(*step));
@@ -747,7 +737,7 @@ mod tests {
         let g = graph(1.0);
         let server = FlowServer::new(ServeConfig::default());
         let fp = server.load_graph(g.clone());
-        let ticket = server.submit(fp, quick_params(0, 3)).unwrap();
+        let (ticket, _) = server.submit(fp, quick_params(0, 3)).unwrap();
         let result = ticket.wait().unwrap();
 
         let session = Session::new(&g).with_seed(42);
@@ -771,6 +761,7 @@ mod tests {
         let a = server
             .submit(fp, quick_params(2, 3))
             .unwrap()
+            .0
             .wait()
             .unwrap();
         // Interleave unrelated load before the replay.
@@ -778,12 +769,14 @@ mod tests {
             server
                 .submit(fp, quick_params(1, 2))
                 .unwrap()
+                .0
                 .wait()
                 .unwrap();
         }
         let b = server
             .submit(fp, quick_params(2, 3))
             .unwrap()
+            .0
             .wait()
             .unwrap();
         assert_eq!(a.selected, b.selected);
@@ -795,7 +788,7 @@ mod tests {
     fn tickets_stream_steps_then_done() {
         let server = FlowServer::new(ServeConfig::default());
         let fp = server.load_graph(graph(1.0));
-        let ticket = server.submit(fp, quick_params(0, 3)).unwrap();
+        let (ticket, _) = server.submit(fp, quick_params(0, 3)).unwrap();
         let mut steps = Vec::new();
         let result = loop {
             match ticket.next_event().expect("stream ends with Done") {
@@ -822,8 +815,8 @@ mod tests {
             ..ServeConfig::default()
         });
         let fp = server.load_graph(graph(1.0));
-        let t1 = server.submit(fp, quick_params(0, 1)).unwrap();
-        let t2 = server.submit(fp, quick_params(1, 1)).unwrap();
+        let (t1, _) = server.submit(fp, quick_params(0, 1)).unwrap();
+        let (t2, _) = server.submit(fp, quick_params(1, 1)).unwrap();
         let rejected = server.submit(fp, quick_params(2, 1));
         assert_eq!(
             rejected.unwrap_err(),
@@ -840,6 +833,7 @@ mod tests {
         server
             .submit(fp, quick_params(2, 1))
             .unwrap()
+            .0
             .wait()
             .unwrap();
         assert_eq!(server.stats().completed, 3);
@@ -855,9 +849,9 @@ mod tests {
         let fp_a = server.load_graph(graph(1.0));
         let fp_b = server.load_graph(graph(2.0));
         let tickets: Vec<_> = (0..4)
-            .map(|i| server.submit(fp_a, quick_params(i % 3, 2)).unwrap())
+            .map(|i| server.submit(fp_a, quick_params(i % 3, 2)).unwrap().0)
             .collect();
-        let other = server.submit(fp_b, quick_params(0, 2)).unwrap();
+        let (other, _) = server.submit(fp_b, quick_params(0, 2)).unwrap();
         server.resume();
         let resident = server_graph(&server, fp_a).unwrap();
         let solo = Session::new(&resident.graph).with_seed(42);
@@ -908,11 +902,13 @@ mod tests {
         server
             .submit(fp1, quick_params(0, 1))
             .unwrap()
+            .0
             .wait()
             .unwrap();
         server
             .submit(fp3, quick_params(0, 1))
             .unwrap()
+            .0
             .wait()
             .unwrap();
     }
@@ -949,7 +945,7 @@ mod tests {
         let fp = server.load_graph(g.clone());
         // A zero deadline is already expired at dispatch: the run stops
         // before any iteration and degrades to the empty prefix.
-        let ticket = server
+        let (ticket, _) = server
             .submit(fp, quick_params(0, 3).with_deadline_ms(0))
             .unwrap();
         let event = loop {
@@ -973,6 +969,7 @@ mod tests {
         let full = server
             .submit(fp, quick_params(0, 3))
             .unwrap()
+            .0
             .wait()
             .unwrap();
         assert_eq!(result.selected, full.selected[..steps_done]);
@@ -985,7 +982,7 @@ mod tests {
             ..ServeConfig::default()
         });
         let fp = server.load_graph(graph(1.0));
-        let (ticket, cancel) = server.submit_cancellable(fp, quick_params(0, 3)).unwrap();
+        let (ticket, cancel) = server.submit(fp, quick_params(0, 3)).unwrap();
         // Cancel while the query is still queued: it stops at iteration 0.
         cancel.cancel();
         server.resume();
@@ -1031,7 +1028,7 @@ mod tests {
             ..ServeConfig::default()
         });
         let fp = server.load_graph(graph(1.0));
-        let ticket = server.submit(fp, quick_params(0, 2)).unwrap();
+        let (ticket, _) = server.submit(fp, quick_params(0, 2)).unwrap();
         drop(server); // paused: the query never ran
         assert!(matches!(ticket.wait(), Err(CoreError::ShuttingDown)));
     }
@@ -1043,8 +1040,8 @@ mod tests {
             ..ServeConfig::default()
         });
         let fp = server.load_graph(graph(1.0));
-        let t1 = server.submit(fp, quick_params(0, 2)).unwrap();
-        let t2 = server.submit(fp, quick_params(1, 2)).unwrap();
+        let (t1, _) = server.submit(fp, quick_params(0, 2)).unwrap();
+        let (t2, _) = server.submit(fp, quick_params(1, 2)).unwrap();
         server.shutdown();
         for ticket in [t1, t2] {
             assert!(matches!(

@@ -12,7 +12,9 @@
 //! * [`Session::query`] starts a typed builder; [`QueryBuilder::run`]
 //!   executes one query and returns a [`SolveRun`];
 //! * [`QueryBuilder::run_with`] additionally **streams** one
-//!   [`SelectionStep`] per committed edge while the run executes;
+//!   [`SelectionStep`] per committed edge while the run executes, and
+//!   [`QueryBuilder::control`] lets a [`RunControl`] (cancellation token,
+//!   deadline) stop any algorithm between iterations;
 //! * [`SolveRun::flow_at`] evaluates any prefix of the selection, so one
 //!   run at budget `K` answers every budget `≤ K` exactly as `K`
 //!   independent runs would;
@@ -48,14 +50,14 @@ use flowmax_graph::{
 };
 use flowmax_sampling::ParallelEstimator;
 
-use crate::baselines::{dijkstra_select_from_tree, naive_select_observed, NaiveConfig};
+use crate::baselines::{dijkstra_select, naive_select, NaiveConfig};
 use crate::cancel::{RunControl, StopCause};
 use crate::error::CoreError;
 use crate::estimator::EstimatorConfig;
 use crate::metrics::SelectionMetrics;
-use crate::selection::greedy::{greedy_select_controlled, GreedyConfig, ProbeEngine};
+use crate::selection::greedy::{greedy_select, GreedyConfig, ProbeEngine};
 use crate::selection::observer::{NoObserver, SelectionObserver, SelectionStep};
-use crate::solver::{evaluate_selection_with_threads, Algorithm};
+use crate::solver::{evaluate_selection, Algorithm};
 
 /// Seed-stream tag separating the shared evaluator's randomness from the
 /// selection's.
@@ -298,18 +300,30 @@ impl<'g> Session<'g> {
                 ds_penalty_c: 2.0,
                 include_query: false,
                 seed: self.seed,
+                control: RunControl::unlimited(),
             },
         })
     }
 
     /// Runs a batch of independent queries, sharding them across the
     /// session's worker threads, and returns one [`SolveRun`] per spec in
-    /// input order.
+    /// input order. `on_step` receives `(spec index, step)` for every
+    /// committed edge of every query, as it commits — the serving daemon
+    /// streams anytime partial selections to each client this way while
+    /// the batch executes. Pass `&|_, _| {}` to stream nothing.
     ///
     /// Each query is bit-identical to running it solo through
     /// [`QueryBuilder::run`], at any thread count: when the batch is
     /// sharded, each query samples single-threaded on its worker, and
-    /// every estimator in the workspace is thread-count invariant.
+    /// every estimator in the workspace is thread-count invariant. Each
+    /// spec carries its own [`RunControl`] (set with
+    /// [`QueryBuilder::control`]); a stopped query reports its cause in
+    /// [`SolveRun::stopped`], and its selection is the same-seed
+    /// uncontrolled run's prefix of the same length, bit for bit.
+    ///
+    /// Steps of one spec arrive in commit order; steps of different specs
+    /// interleave arbitrarily (they execute concurrently), so `on_step`
+    /// must be `Sync` and demultiplex by the spec index.
     ///
     /// # Errors
     ///
@@ -339,7 +353,7 @@ impl<'g> Session<'g> {
     ///     session.query(VertexId(2))?.budget(3).samples(200).spec(),
     ///     session.query(VertexId(0))?.budget(2).samples(200).spec(),
     /// ];
-    /// let runs = session.run_many(&specs)?;
+    /// let runs = session.run_many(&specs, &|_, _| {})?;
     /// assert_eq!(runs.len(), 3);
     ///
     /// // Batched runs are bit-identical to solo runs of the same spec.
@@ -351,66 +365,14 @@ impl<'g> Session<'g> {
     /// assert_eq!(runs[0].flow, runs[2].flow);
     /// # Ok::<(), CoreError>(())
     /// ```
-    pub fn run_many(&self, specs: &[QuerySpec]) -> Result<Vec<SolveRun<'g>>, CoreError> {
-        self.run_many_with(specs, &|_, _| {})
-    }
-
-    /// [`run_many`](Session::run_many) with streaming: `on_step` receives
-    /// `(spec index, step)` for every committed edge of every query, as it
-    /// commits. This is the serving daemon's entry point — a coalesced
-    /// batch of queries streams anytime partial selections to each client
-    /// while the batch executes.
-    ///
-    /// Steps of one spec arrive in commit order; steps of different specs
-    /// interleave arbitrarily (they execute concurrently), so `on_step`
-    /// must be `Sync` and demultiplex by the spec index. Results are
-    /// bit-identical to [`run_many`](Session::run_many).
-    pub fn run_many_with(
+    pub fn run_many(
         &self,
         specs: &[QuerySpec],
         on_step: &(dyn Fn(usize, &SelectionStep) + Sync),
     ) -> Result<Vec<SolveRun<'g>>, CoreError> {
-        self.run_many_controlled(specs, &[], on_step)
-    }
-
-    /// [`run_many_with`](Session::run_many_with) with per-query run
-    /// controls: `controls[i]` (cancellation token and/or deadline) governs
-    /// `specs[i]`. Pass an empty slice to leave every query uncontrolled.
-    ///
-    /// A stopped query reports its cause in [`SolveRun::stopped`] and its
-    /// selection is **bit-identical to the same-seed uncontrolled run's
-    /// prefix** of the same length (the greedy selection's anytime
-    /// property: stop checks sit strictly between iterations and never
-    /// change what an iteration computes).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ControlMismatch`] when `controls` is non-empty but its
-    /// length differs from `specs`; plus everything
-    /// [`run_many`](Session::run_many) validates.
-    pub fn run_many_controlled(
-        &self,
-        specs: &[QuerySpec],
-        controls: &[RunControl],
-        on_step: &(dyn Fn(usize, &SelectionStep) + Sync),
-    ) -> Result<Vec<SolveRun<'g>>, CoreError> {
-        if !controls.is_empty() && controls.len() != specs.len() {
-            return Err(CoreError::ControlMismatch {
-                controls: controls.len(),
-                specs: specs.len(),
-            });
-        }
         for spec in specs {
             self.validate(spec)?;
         }
-        let unlimited = RunControl::unlimited();
-        let control_of = |i: usize| -> &RunControl {
-            if controls.is_empty() {
-                &unlimited
-            } else {
-                &controls[i]
-            }
-        };
         if specs.len() <= 1 || self.threads <= 1 {
             return Ok(specs
                 .iter()
@@ -419,7 +381,6 @@ impl<'g> Session<'g> {
                     self.execute(
                         spec,
                         self.threads,
-                        control_of(i),
                         &mut IndexedForward { index: i, on_step },
                     )
                 })
@@ -430,12 +391,7 @@ impl<'g> Session<'g> {
             // Workers run whole queries, so each query samples on one
             // thread; thread-count invariance makes this bit-identical to
             // a solo multi-threaded run.
-            self.execute(
-                &specs[i],
-                1,
-                control_of(i),
-                &mut IndexedForward { index: i, on_step },
-            )
+            self.execute(&specs[i], 1, &mut IndexedForward { index: i, on_step })
         });
         for run in &mut runs {
             // The batch is done: later prefix evaluations (`flow_at`) run
@@ -471,18 +427,11 @@ impl<'g> Session<'g> {
         })
     }
 
-    /// Runs one (validated) spec.
-    ///
-    /// `control` applies to the greedy algorithms only: the baselines are
-    /// cheap enough (Dijkstra never samples; Naive exists for comparison
-    /// runs, not serving) that threading stop checks through them would
-    /// complicate them for no operational gain — their runs always
-    /// complete with `stopped: None`.
+    /// Runs one (validated) spec under its own [`RunControl`].
     pub(crate) fn execute(
         &self,
         spec: &QuerySpec,
         threads: usize,
-        control: &RunControl,
         observer: &mut dyn SelectionObserver,
     ) -> SolveRun<'g> {
         let mut collector = StepCollector {
@@ -491,7 +440,7 @@ impl<'g> Session<'g> {
         };
         let start = crate::clock::monotonic_now();
         let outcome = match spec.algorithm {
-            Algorithm::Naive => naive_select_observed(
+            Algorithm::Naive => naive_select(
                 self.graph,
                 spec.vertex,
                 &NaiveConfig {
@@ -501,23 +450,22 @@ impl<'g> Session<'g> {
                     seed: spec.seed,
                     threads,
                 },
+                &spec.control,
                 &mut collector,
             ),
-            Algorithm::Dijkstra => {
-                let tree = self.spanning_tree(spec.vertex);
-                dijkstra_select_from_tree(
-                    self.graph,
-                    &tree,
-                    spec.budget,
-                    spec.include_query,
-                    &mut collector,
-                )
-            }
-            _ => greedy_select_controlled(
+            Algorithm::Dijkstra => dijkstra_select(
+                self.graph,
+                &self.spanning_tree(spec.vertex),
+                spec.budget,
+                spec.include_query,
+                &spec.control,
+                &mut collector,
+            ),
+            _ => greedy_select(
                 self.graph,
                 spec.vertex,
                 &spec.greedy_config(threads),
-                control,
+                &spec.control,
                 &mut collector,
             ),
         };
@@ -527,7 +475,7 @@ impl<'g> Session<'g> {
         // (ascending edge ids for the F-tree algorithms, commit order for
         // the baselines): the insertion order fixes the evaluator's RNG
         // call sequence, and `flow_at` mirrors it for prefixes.
-        let flow = evaluate_selection_with_threads(
+        let flow = evaluate_selection(
             self.graph,
             spec.vertex,
             &outcome.selected,
@@ -560,7 +508,7 @@ impl<'g> Session<'g> {
 }
 
 /// Adapts a shared `(spec index, step)` callback to the per-query
-/// [`SelectionObserver`] seam, for [`Session::run_many_with`].
+/// [`SelectionObserver`] seam, for [`Session::run_many`].
 struct IndexedForward<'a> {
     index: usize,
     on_step: &'a (dyn Fn(usize, &SelectionStep) + Sync),
@@ -589,10 +537,11 @@ impl SelectionObserver for StepCollector<'_> {
 /// A fully resolved query plan: the output of [`Session::query`]'s builder
 /// and the input of [`Session::run_many`].
 ///
-/// Specs are plain values (`Copy`), so a serving loop can build them once
-/// and replay them; construct them through the builder so the query vertex
-/// is validated against the session's graph.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Specs are plain values, so a serving loop can build them once and replay
+/// them; construct them through the builder so the query vertex is
+/// validated against the session's graph. A spec carries its
+/// [`RunControl`], and clones share its cancellation token.
+#[derive(Debug, Clone)]
 pub struct QuerySpec {
     pub(crate) vertex: VertexId,
     pub(crate) algorithm: Algorithm,
@@ -603,6 +552,7 @@ pub struct QuerySpec {
     pub(crate) ds_penalty_c: f64,
     pub(crate) include_query: bool,
     pub(crate) seed: u64,
+    pub(crate) control: RunControl,
 }
 
 impl QuerySpec {
@@ -636,6 +586,7 @@ impl QuerySpec {
             ds_penalty_c,
             include_query,
             seed,
+            control: _,
         } = *self;
         let (memoize, confidence_pruning, delayed_sampling) = match algorithm {
             Algorithm::Naive | Algorithm::Dijkstra | Algorithm::Ft => (false, false, false),
@@ -666,7 +617,7 @@ impl QuerySpec {
 /// [`run_with`](QueryBuilder::run_with) for streaming, or
 /// [`spec`](QueryBuilder::spec) to extract the plan for
 /// [`Session::run_many`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct QueryBuilder<'s, 'g> {
     session: &'s Session<'g>,
     spec: QuerySpec,
@@ -725,6 +676,16 @@ impl<'s, 'g> QueryBuilder<'s, 'g> {
         self
     }
 
+    /// Sets the run control: a cancellation token and/or deadline
+    /// (default: [`RunControl::unlimited`]). Every algorithm checks it
+    /// between iterations: a stopped run reports its cause in
+    /// [`SolveRun::stopped`] and its selection is bit-identical to the
+    /// same-seed uncontrolled run's prefix of the same length.
+    pub fn control(mut self, control: RunControl) -> Self {
+        self.spec.control = control;
+        self
+    }
+
     /// Extracts the validated query plan, e.g. for [`Session::run_many`].
     pub fn spec(self) -> QuerySpec {
         self.spec
@@ -757,36 +718,10 @@ impl<'s, 'g> QueryBuilder<'s, 'g> {
     /// # Ok::<(), CoreError>(())
     /// ```
     pub fn run_with(self, observer: &mut dyn SelectionObserver) -> Result<SolveRun<'g>, CoreError> {
-        self.run_controlled_with(&RunControl::unlimited(), observer)
-    }
-
-    /// Runs the query under a [`RunControl`] (cancellation token and/or
-    /// deadline). A stopped run reports its cause in [`SolveRun::stopped`]
-    /// and its selection is bit-identical to the same-seed uncontrolled
-    /// run's prefix of the same length.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](QueryBuilder::run).
-    pub fn run_controlled(self, control: &RunControl) -> Result<SolveRun<'g>, CoreError> {
-        self.run_controlled_with(control, &mut NoObserver)
-    }
-
-    /// [`run_controlled`](QueryBuilder::run_controlled) with streaming, as
-    /// in [`run_with`](QueryBuilder::run_with).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](QueryBuilder::run).
-    pub fn run_controlled_with(
-        self,
-        control: &RunControl,
-        observer: &mut dyn SelectionObserver,
-    ) -> Result<SolveRun<'g>, CoreError> {
         self.session.validate(&self.spec)?;
         Ok(self
             .session
-            .execute(&self.spec, self.session.threads, control, observer))
+            .execute(&self.spec, self.session.threads, observer))
     }
 }
 
@@ -854,7 +789,7 @@ impl SolveRun<'_> {
         if !matches!(self.algorithm, Algorithm::Naive | Algorithm::Dijkstra) {
             prefix.sort_unstable();
         }
-        evaluate_selection_with_threads(
+        evaluate_selection(
             self.graph,
             self.query,
             &prefix,
@@ -1076,7 +1011,7 @@ mod tests {
             ];
             let streamed: Mutex<Vec<Vec<SelectionStep>>> = Mutex::new(vec![Vec::new(); 2]);
             let runs = session
-                .run_many_with(&specs, &|i, step| streamed.lock().unwrap()[i].push(*step))
+                .run_many(&specs, &|i, step| streamed.lock().unwrap()[i].push(*step))
                 .unwrap();
             let streamed = streamed.into_inner().unwrap();
             for (run, got) in runs.iter().zip(&streamed) {
@@ -1115,12 +1050,12 @@ mod tests {
                     .samples(100)
                     .spec(),
             ];
-            let runs = session.run_many(&specs).unwrap();
+            let runs = session.run_many(&specs, &|_, _| {}).unwrap();
             assert_eq!(runs.len(), specs.len());
             for (spec, run) in specs.iter().zip(&runs) {
                 let solo = QueryBuilder {
                     session: &session,
-                    spec: *spec,
+                    spec: spec.clone(),
                 }
                 .run()
                 .unwrap();
@@ -1138,9 +1073,9 @@ mod tests {
         let good = session.query(VertexId(0)).unwrap().budget(1).spec();
         let bad = session.query(VertexId(0)).unwrap().spec(); // budget 0
         assert!(matches!(
-            session.run_many(&[good, bad]),
+            session.run_many(&[good, bad], &|_, _| {}),
             Err(CoreError::EmptyBudget)
         ));
-        assert!(session.run_many(&[]).unwrap().is_empty());
+        assert!(session.run_many(&[], &|_, _| {}).unwrap().is_empty());
     }
 }

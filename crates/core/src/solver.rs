@@ -59,11 +59,14 @@ impl Algorithm {
             Algorithm::FtMCiDs => "FT+M+CI+DS",
         }
     }
+}
+
+impl std::str::FromStr for Algorithm {
+    type Err = CoreError;
 
     /// Parses the paper's display name (case-insensitive).
-    pub fn parse(s: &str) -> Option<Algorithm> {
-        let up = s.to_ascii_uppercase();
-        Some(match up.as_str() {
+    fn from_str(s: &str) -> Result<Algorithm, CoreError> {
+        Ok(match s.to_ascii_uppercase().as_str() {
             "NAIVE" => Algorithm::Naive,
             "DIJKSTRA" => Algorithm::Dijkstra,
             "FT" => Algorithm::Ft,
@@ -71,17 +74,8 @@ impl Algorithm {
             "FT+M+CI" => Algorithm::FtMCi,
             "FT+M+DS" => Algorithm::FtMDs,
             "FT+M+CI+DS" => Algorithm::FtMCiDs,
-            _ => return None,
+            _ => return Err(CoreError::UnknownAlgorithm(s.to_string())),
         })
-    }
-}
-
-impl std::str::FromStr for Algorithm {
-    type Err = CoreError;
-
-    /// [`Algorithm::parse`] with a typed error for `Result` pipelines.
-    fn from_str(s: &str) -> Result<Algorithm, CoreError> {
-        Algorithm::parse(s).ok_or_else(|| CoreError::UnknownAlgorithm(s.to_string()))
     }
 }
 
@@ -89,30 +83,10 @@ impl std::str::FromStr for Algorithm {
 /// F-tree with the given estimator. Edges are inserted in connectivity
 /// order; edges never connected to `Q` contribute nothing and are skipped.
 ///
-/// Uses the `FLOWMAX_THREADS` worker count; see
-/// [`evaluate_selection_with_threads`] for an explicit override.
+/// `threads` is the sampling worker count (results are identical for
+/// every thread count; only wall-clock time changes) — pass
+/// [`flowmax_sampling::default_threads`] for the `FLOWMAX_THREADS` count.
 pub fn evaluate_selection(
-    graph: &ProbabilisticGraph,
-    query: VertexId,
-    edges: &[EdgeId],
-    estimator: EstimatorConfig,
-    include_query: bool,
-    seed: u64,
-) -> f64 {
-    evaluate_selection_with_threads(
-        graph,
-        query,
-        edges,
-        estimator,
-        include_query,
-        seed,
-        flowmax_sampling::default_threads(),
-    )
-}
-
-/// [`evaluate_selection`] with an explicit sampling worker count (results
-/// are identical for every thread count; only wall-clock time changes).
-pub fn evaluate_selection_with_threads(
     graph: &ProbabilisticGraph,
     query: VertexId,
     edges: &[EdgeId],
@@ -149,6 +123,7 @@ mod tests {
     use super::*;
     use crate::session::{Session, SolveRun};
     use flowmax_graph::{GraphBuilder, Probability, Weight};
+    use flowmax_sampling::default_threads;
 
     fn p(v: f64) -> Probability {
         Probability::new(v).unwrap()
@@ -209,8 +184,8 @@ mod tests {
         let g = graph();
         let edges = vec![EdgeId(0), EdgeId(1), EdgeId(2)];
         let cfg = EstimatorConfig::hybrid(16, 500);
-        let a = evaluate_selection(&g, VertexId(0), &edges, cfg, false, 3);
-        let b = evaluate_selection(&g, VertexId(0), &edges, cfg, false, 3);
+        let a = evaluate_selection(&g, VertexId(0), &edges, cfg, false, 3, default_threads());
+        let b = evaluate_selection(&g, VertexId(0), &edges, cfg, false, 3, default_threads());
         assert_eq!(a, b);
     }
 
@@ -225,6 +200,7 @@ mod tests {
             EstimatorConfig::exact(),
             false,
             0,
+            default_threads(),
         );
         assert_eq!(flow, 0.0);
         // Out-of-order insertion still works: 3-4 first, then the path.
@@ -235,6 +211,7 @@ mod tests {
             EstimatorConfig::exact(),
             false,
             0,
+            default_threads(),
         );
         assert!((flow - (0.9 * 5.0 + 0.63 * 8.0 + 0.315 * 1.0)).abs() < 1e-9);
     }
@@ -242,9 +219,9 @@ mod tests {
     #[test]
     fn algorithm_names_roundtrip() {
         for alg in Algorithm::all() {
-            assert_eq!(Algorithm::parse(alg.name()), Some(alg));
+            assert_eq!(alg.name().parse::<Algorithm>().ok(), Some(alg));
         }
-        assert_eq!(Algorithm::parse("nonsense"), None);
+        assert_eq!("nonsense".parse::<Algorithm>().ok(), None);
     }
 
     #[test]

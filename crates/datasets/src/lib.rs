@@ -4,7 +4,7 @@
 //! paper): synthetic graphs with and without the locality assumption, and
 //! simulated substitutes for the paper's real datasets (Facebook circles,
 //! DBLP, YouTube, San Joaquin road network). All generators are deterministic
-//! given a `u64` seed; substitutions are documented in `DESIGN.md` §3.4.
+//! given a `u64` seed; the crate README documents each substitution.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

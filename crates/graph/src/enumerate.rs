@@ -88,7 +88,7 @@ pub fn exact_reachability(
 /// restricted to `domain`, by full world enumeration.
 ///
 /// `include_query` selects whether `W(Q)` itself is counted (the paper's
-/// examples exclude it; see DESIGN.md §3.3).
+/// worked examples exclude it).
 pub fn exact_expected_flow(
     graph: &ProbabilisticGraph,
     domain: &EdgeSubset,

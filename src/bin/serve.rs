@@ -584,7 +584,7 @@ fn cmd_solve(
         Ok(parsed) => parsed,
         Err(msg) => return Ok(Err(msg)),
     };
-    let (ticket, cancel) = match daemon.server.submit_cancellable(fingerprint, params) {
+    let (ticket, cancel) = match daemon.server.submit(fingerprint, params) {
         Ok(admitted) => admitted,
         Err(ServeError::Overloaded { retry_after }) => {
             return Ok(Err(format!(

@@ -63,9 +63,10 @@ pub use flowmax_sampling as sampling;
 /// One-stop imports for typical users.
 pub mod prelude {
     pub use flowmax_core::{
-        evaluate_selection, exact_max_flow, greedy_select, Algorithm, EstimatorConfig, FTree,
-        FlowServer, GreedyConfig, QueryBuilder, QueryParams, QuerySpec, SamplingProvider,
-        SelectionObserver, SelectionStep, ServeConfig, ServeEvent, Session, SessionState, SolveRun,
+        evaluate_selection, exact_max_flow, greedy_select, Algorithm, CancelToken, EstimatorConfig,
+        FTree, FlowServer, GreedyConfig, NoObserver, QueryBuilder, QueryParams, QuerySpec,
+        RunControl, SamplingProvider, SelectionObserver, SelectionStep, ServeConfig, ServeEvent,
+        Session, SessionState, SolveRun,
     };
     pub use flowmax_datasets::{suggest_query, DatasetSpec};
     pub use flowmax_graph::{

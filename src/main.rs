@@ -169,9 +169,9 @@ fn cmd_solve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         // write cancels the run at the next iteration boundary.
         let cancel = CancelToken::new();
         let mut write_error = None;
-        let run = builder.run_controlled_with(
-            &RunControl::unlimited().with_cancel(cancel.clone()),
-            &mut |step: &SelectionStep| {
+        let run = builder
+            .control(RunControl::unlimited().with_cancel(cancel.clone()))
+            .run_with(&mut |step: &SelectionStep| {
                 let (a, b) = graph.endpoints(step.edge);
                 if let Err(e) = writeln!(
                     out,
@@ -181,8 +181,7 @@ fn cmd_solve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                     write_error = Some(e);
                     cancel.cancel();
                 }
-            },
-        );
+            });
         if let Some(e) = write_error {
             return Err(e.into());
         }

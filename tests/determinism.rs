@@ -192,7 +192,10 @@ fn pool_reuse_and_warm_scratch_never_change_results() {
                 .spec()
         })
         .collect();
-    assert_eq!(warm_session.run_many(&warmup).unwrap().len(), 100);
+    assert_eq!(
+        warm_session.run_many(&warmup, &|_, _| {}).unwrap().len(),
+        100
+    );
 
     let warmed = run(8);
     assert_eq!(fresh.selected, warmed.selected, "warm pool changed results");
@@ -221,7 +224,7 @@ fn served_replay_is_bit_identical_under_load() {
     let fp = server.load_graph(g.clone());
     let mut params = QueryParams::new(q, 5);
     params.samples = 200;
-    let first = server.submit(fp, params).unwrap().wait().unwrap();
+    let first = server.submit(fp, params).unwrap().0.wait().unwrap();
 
     // Unrelated load in between, including concurrent (coalescable) waves.
     let tickets: Vec<_> = (0..8)
@@ -229,14 +232,14 @@ fn served_replay_is_bit_identical_under_load() {
             let mut other = QueryParams::new(q, 1 + i % 3);
             other.samples = 100;
             other.seed = Some(500 + i as u64);
-            server.submit(fp, other).unwrap()
+            server.submit(fp, other).unwrap().0
         })
         .collect();
     for t in tickets {
         t.wait().unwrap();
     }
 
-    let replay = server.submit(fp, params).unwrap().wait().unwrap();
+    let replay = server.submit(fp, params).unwrap().0.wait().unwrap();
     assert_eq!(first.selected, replay.selected, "replay diverged");
     assert_eq!(first.flow, replay.flow);
     assert_eq!(first.steps.len(), replay.steps.len());

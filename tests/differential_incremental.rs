@@ -15,7 +15,7 @@
 //! delta, the replay commit, or the bitmap-maintained probe pool shows up
 //! here as a first-divergence step report.
 
-use flowmax::core::{greedy_select_observed, GreedyConfig, ProbeEngine, SelectionStep};
+use flowmax::core::{greedy_select, GreedyConfig, ProbeEngine, RunControl, SelectionStep};
 use flowmax::graph::{GraphBuilder, ProbabilisticGraph, Probability, VertexId, Weight};
 use proptest::prelude::*;
 
@@ -102,9 +102,13 @@ struct Trace {
 
 fn trace(graph: &ProbabilisticGraph, config: &GreedyConfig) -> Trace {
     let mut steps: Vec<SelectionStep> = Vec::new();
-    let outcome = greedy_select_observed(graph, VertexId(0), config, &mut |s: &SelectionStep| {
-        steps.push(*s)
-    });
+    let outcome = greedy_select(
+        graph,
+        VertexId(0),
+        config,
+        &RunControl::unlimited(),
+        &mut |s: &SelectionStep| steps.push(*s),
+    );
     Trace {
         selected: steps.iter().map(|s| s.edge.0).collect(),
         flow_bits: steps.iter().map(|s| s.flow.to_bits()).collect(),

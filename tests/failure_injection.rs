@@ -3,15 +3,21 @@
 
 use flowmax::core::{
     exact_max_flow, greedy_select, Algorithm, CoreError, EstimatorConfig, FTree, GreedyConfig,
-    SamplingProvider, Session,
+    NoObserver, RunControl, SamplingProvider, SelectionOutcome, Session,
 };
 use flowmax::graph::{
-    exact_reachability, EdgeId, EdgeSubset, GraphBuilder, GraphError, Probability, VertexId, Weight,
+    exact_reachability, EdgeId, EdgeSubset, GraphBuilder, GraphError, ProbabilisticGraph,
+    Probability, VertexId, Weight,
 };
 use std::io::Cursor;
 
 fn p(v: f64) -> Probability {
     Probability::new(v).unwrap()
+}
+
+fn select(g: &ProbabilisticGraph, cfg: &GreedyConfig) -> SelectionOutcome {
+    let control = RunControl::unlimited();
+    greedy_select(g, VertexId(0), cfg, &control, &mut NoObserver)
 }
 
 #[test]
@@ -156,7 +162,7 @@ fn zero_budget_is_a_no_op() {
     b.add_vertices(2, Weight::ONE);
     b.add_edge(VertexId(0), VertexId(1), p(0.9)).unwrap();
     let g = b.build();
-    let out = greedy_select(&g, VertexId(0), &GreedyConfig::ft(0, 1));
+    let out = select(&g, &GreedyConfig::ft(0, 1));
     assert!(out.selected.is_empty());
     assert_eq!(out.metrics.probes, 0);
 }
@@ -174,7 +180,7 @@ fn all_certain_edges_need_no_sampling_in_greedy_with_exact_cap() {
     let g = b.build();
     let mut cfg = GreedyConfig::ft(5, 1);
     cfg.exact_edge_cap = 4;
-    let out = greedy_select(&g, VertexId(0), &cfg);
+    let out = select(&g, &cfg);
     assert_eq!(out.metrics.components_sampled, 0);
     assert!(
         (out.final_flow - 3.0).abs() < 1e-12,
@@ -361,7 +367,7 @@ mod chaos {
         let server = FlowServer::new(ServeConfig::default());
         let fp = server.load_graph(diamond());
 
-        let first = server
+        let (first, _) = server
             .submit(fp, params(0, 2))
             .expect("admission 0 is clean");
         let rejected = server.submit(fp, params(1, 2));
@@ -369,7 +375,7 @@ mod chaos {
             matches!(rejected, Err(ServeError::Overloaded { .. })),
             "admission 1 must hit the injected fault: {rejected:?}"
         );
-        let third = server
+        let (third, _) = server
             .submit(fp, params(2, 2))
             .expect("admission 2 is clean");
 
@@ -390,7 +396,7 @@ mod chaos {
         let reference = {
             let server = FlowServer::new(ServeConfig::default());
             let fp = server.load_graph(g.clone());
-            server.submit(fp, params(0, 3)).unwrap().wait().unwrap()
+            server.submit(fp, params(0, 3)).unwrap().0.wait().unwrap()
         };
 
         let _armed = arm(FailPlan::new(9).fail_key_nth("serve/batch", 0, &[0]));
@@ -399,8 +405,8 @@ mod chaos {
             ..ServeConfig::default()
         });
         let fp = server.load_graph(g);
-        let doomed_a = server.submit(fp, params(0, 3)).unwrap();
-        let doomed_b = server.submit(fp, params(0, 3)).unwrap();
+        let (doomed_a, _) = server.submit(fp, params(0, 3)).unwrap();
+        let (doomed_b, _) = server.submit(fp, params(0, 3)).unwrap();
         server.resume();
         for doomed in [doomed_a, doomed_b] {
             match doomed.wait() {
@@ -416,7 +422,7 @@ mod chaos {
 
         // Batch 0 is burnt; batch 1 is unfaulted and must match the
         // reference bit for bit.
-        let after = server.submit(fp, params(0, 3)).unwrap().wait().unwrap();
+        let after = server.submit(fp, params(0, 3)).unwrap().0.wait().unwrap();
         assert_eq!(after.selected, reference.selected);
         assert_eq!(after.flow, reference.flow);
         assert_eq!(server.stats().batches, 2);
@@ -449,7 +455,7 @@ mod chaos {
         let mut hints = Vec::new();
         for i in 0..50u32 {
             match server.submit(fp, params(i % 5, 1)) {
-                Ok(ticket) => accepted.push(ticket),
+                Ok((ticket, _)) => accepted.push(ticket),
                 Err(ServeError::Overloaded { retry_after }) => hints.push(retry_after),
                 Err(other) => panic!("only Overloaded is expected here: {other:?}"),
             }
@@ -482,8 +488,8 @@ mod chaos {
         });
         let fp = server.load_graph(diamond());
 
-        let full = server.submit(fp, params(0, 3)).unwrap();
-        let doomed = server.submit(fp, params(0, 3).with_deadline_ms(0)).unwrap();
+        let (full, _) = server.submit(fp, params(0, 3)).unwrap();
+        let (doomed, _) = server.submit(fp, params(0, 3).with_deadline_ms(0)).unwrap();
         server.resume();
 
         let full = full.wait().expect("the undeadlined twin completes");
@@ -529,7 +535,7 @@ fn extreme_probabilities_are_handled() {
     let g = b.build();
     let mut cfg = GreedyConfig::ft(3, 1);
     cfg.exact_edge_cap = 10;
-    let out = greedy_select(&g, VertexId(0), &cfg);
+    let out = select(&g, &cfg);
     assert_eq!(out.selected.len(), 3);
     assert!(out.final_flow.is_finite());
     assert!(

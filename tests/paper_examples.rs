@@ -7,11 +7,11 @@
 
 use flowmax::core::{
     dijkstra_select, evaluate_selection, exact_max_flow, Algorithm, ComponentRef, EstimatorConfig,
-    FTree, InsertCase, SamplingProvider, Session,
+    FTree, InsertCase, NoObserver, RunControl, SamplingProvider, Session,
 };
 use flowmax::graph::{
-    exact_expected_flow, EdgeId, EdgeSubset, GraphBuilder, ProbabilisticGraph, Probability,
-    VertexId, Weight, DEFAULT_ENUMERATION_CAP,
+    exact_expected_flow, max_probability_spanning_tree_full, EdgeId, EdgeSubset, GraphBuilder,
+    ProbabilisticGraph, Probability, VertexId, Weight, DEFAULT_ENUMERATION_CAP,
 };
 
 fn p(v: f64) -> Probability {
@@ -307,8 +307,8 @@ fn section_6_4_delay_example_through_the_solver() {
     let mut with_chord = chain.clone();
     with_chord.push(chord);
     let eval = EstimatorConfig::exact();
-    let gain = evaluate_selection(&g, VertexId(0), &with_chord, eval, false, 0)
-        - evaluate_selection(&g, VertexId(0), &chain, eval, false, 0);
+    let gain = evaluate_selection(&g, VertexId(0), &with_chord, eval, false, 0, 1)
+        - evaluate_selection(&g, VertexId(0), &chain, eval, false, 0, 1);
     let pot = gain / 50.0;
     let ratio = 10.0 / pot;
     assert!(
@@ -413,7 +413,9 @@ fn figure1_tradeoff_shape() {
 
     let all = EdgeSubset::full(&g);
     let flow_all = exact_expected_flow(&g, &all, q, false, DEFAULT_ENUMERATION_CAP).unwrap();
-    let dj = dijkstra_select(&g, q, usize::MAX, false);
+    let tree = max_probability_spanning_tree_full(&g, q);
+    let control = RunControl::unlimited();
+    let dj = dijkstra_select(&g, &tree, usize::MAX, false, &control, &mut NoObserver);
     let opt5 = exact_max_flow(&g, q, 5, false).unwrap();
 
     assert_eq!(

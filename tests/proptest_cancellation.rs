@@ -1,8 +1,9 @@
 //! Property tests for the degraded-answer contract: a run stopped early —
 //! by a step-budget deadline or a cancellation token — must return a
 //! selection bit-identical to the same-seed uncancelled run's prefix
-//! (`selection_at(j)`), at every thread count. Degradation
-//! moves the stop point; it never changes what was selected up to it.
+//! (`selection_at(j)`), at every thread count, for the greedy stacks and
+//! both §7.2 baselines. Degradation moves the stop point; it never changes
+//! what was selected up to it.
 
 use flowmax::core::{Algorithm, CancelToken, Deadline, RunControl, Session, StopCause};
 use flowmax::datasets::{suggest_query, ErdosConfig};
@@ -28,46 +29,49 @@ proptest! {
     ) {
         let g = graph(graph_seed);
         let q = suggest_query(&g);
-        let reference = Session::new(&g).with_seed(session_seed).with_threads(1);
-        let full = reference
-            .query(q).unwrap()
-            .algorithm(Algorithm::FtMCiDs)
-            .budget(BUDGET)
-            .samples(200)
-            .run()
-            .unwrap();
-        prop_assert!(full.stopped.is_none());
+        for algorithm in [Algorithm::FtMCiDs, Algorithm::Naive, Algorithm::Dijkstra] {
+            let reference = Session::new(&g).with_seed(session_seed).with_threads(1);
+            let full = reference
+                .query(q).unwrap()
+                .algorithm(algorithm)
+                .budget(BUDGET)
+                .samples(200)
+                .run()
+                .unwrap();
+            prop_assert!(full.stopped.is_none());
 
-        let threads = [1usize, 2, 8][threads_idx];
-        let session = Session::new(&g)
-            .with_seed(session_seed)
-            .with_threads(threads);
-        let control = RunControl::unlimited().with_deadline(Deadline::steps(j));
-        let degraded = session
-            .query(q).unwrap()
-            .algorithm(Algorithm::FtMCiDs)
-            .budget(BUDGET)
-            .samples(200)
-            .run_controlled(&control)
-            .unwrap();
+            let threads = [1usize, 2, 8][threads_idx];
+            let session = Session::new(&g)
+                .with_seed(session_seed)
+                .with_threads(threads);
+            let control = RunControl::unlimited().with_deadline(Deadline::steps(j));
+            let degraded = session
+                .query(q).unwrap()
+                .algorithm(algorithm)
+                .budget(BUDGET)
+                .samples(200)
+                .control(control)
+                .run()
+                .unwrap();
 
-        let expected_len = j.min(full.selected.len());
-        prop_assert_eq!(
-            degraded.selected.as_slice(),
-            full.selection_at(expected_len),
-            "threads={} j={}", threads, j
-        );
-        if j < full.selected.len() {
-            prop_assert_eq!(degraded.stopped, Some(StopCause::StepBudget));
+            let expected_len = j.min(full.selected.len());
             prop_assert_eq!(
-                degraded.flow.to_bits(),
-                full.flow_at(j).to_bits(),
-                "degraded flow must be the prefix oracle's, bit for bit"
+                degraded.selected.as_slice(),
+                full.selection_at(expected_len),
+                "threads={} j={}", threads, j
             );
-        } else {
-            // The budget ran out before the deadline did: a full answer.
-            prop_assert!(degraded.stopped.is_none());
-            prop_assert_eq!(degraded.flow.to_bits(), full.flow.to_bits());
+            if j < full.selected.len() {
+                prop_assert_eq!(degraded.stopped, Some(StopCause::StepBudget));
+                prop_assert_eq!(
+                    degraded.flow.to_bits(),
+                    full.flow_at(j).to_bits(),
+                    "degraded flow must be the prefix oracle's, bit for bit"
+                );
+            } else {
+                // The budget ran out before the deadline did: a full answer.
+                prop_assert!(degraded.stopped.is_none());
+                prop_assert_eq!(degraded.flow.to_bits(), full.flow.to_bits());
+            }
         }
     }
 
@@ -81,43 +85,46 @@ proptest! {
     ) {
         let g = graph(graph_seed);
         let q = suggest_query(&g);
-        let reference = Session::new(&g).with_seed(session_seed).with_threads(1);
-        let full = reference
-            .query(q).unwrap()
-            .algorithm(Algorithm::FtM)
-            .budget(BUDGET)
-            .samples(200)
-            .run()
-            .unwrap();
+        for algorithm in [Algorithm::FtM, Algorithm::Naive, Algorithm::Dijkstra] {
+            let reference = Session::new(&g).with_seed(session_seed).with_threads(1);
+            let full = reference
+                .query(q).unwrap()
+                .algorithm(algorithm)
+                .budget(BUDGET)
+                .samples(200)
+                .run()
+                .unwrap();
 
-        let threads = [1usize, 2, 8][threads_idx];
-        let session = Session::new(&g).with_seed(session_seed).with_threads(threads);
-        let token = CancelToken::new();
-        let control = RunControl::unlimited().with_cancel(token.clone());
-        let trigger = token.clone();
-        let cancelled = session
-            .query(q).unwrap()
-            .algorithm(Algorithm::FtM)
-            .budget(BUDGET)
-            .samples(200)
-            .run_controlled_with(&control, &mut |step: &flowmax::core::SelectionStep| {
-                if step.iteration == j {
-                    trigger.cancel();
-                }
-            })
-            .unwrap();
+            let threads = [1usize, 2, 8][threads_idx];
+            let session = Session::new(&g).with_seed(session_seed).with_threads(threads);
+            let token = CancelToken::new();
+            let control = RunControl::unlimited().with_cancel(token.clone());
+            let trigger = token.clone();
+            let cancelled = session
+                .query(q).unwrap()
+                .algorithm(algorithm)
+                .budget(BUDGET)
+                .samples(200)
+                .control(control)
+                .run_with(&mut |step: &flowmax::core::SelectionStep| {
+                    if step.iteration == j {
+                        trigger.cancel();
+                    }
+                })
+                .unwrap();
 
-        // The cancel lands during iteration j's commit callback, so the
-        // run keeps exactly j + 1 edges (or everything, if it finished
-        // before reaching iteration j).
-        let expected_len = (j + 1).min(full.selected.len());
-        prop_assert_eq!(
-            cancelled.selected.as_slice(),
-            full.selection_at(expected_len),
-            "threads={} j={}", threads, j
-        );
-        if expected_len < full.selected.len() {
-            prop_assert_eq!(cancelled.stopped, Some(StopCause::Cancelled));
+            // The cancel lands during iteration j's commit callback, so the
+            // run keeps exactly j + 1 edges (or everything, if it finished
+            // before reaching iteration j).
+            let expected_len = (j + 1).min(full.selected.len());
+            prop_assert_eq!(
+                cancelled.selected.as_slice(),
+                full.selection_at(expected_len),
+                "threads={} j={}", threads, j
+            );
+            if expected_len < full.selected.len() {
+                prop_assert_eq!(cancelled.stopped, Some(StopCause::Cancelled));
+            }
         }
     }
 
@@ -138,7 +145,8 @@ proptest! {
             .algorithm(Algorithm::FtMCiDs)
             .budget(BUDGET)
             .samples(200)
-            .run_controlled(&control)
+            .control(control)
+            .run()
             .unwrap();
         prop_assert!(run.selected.is_empty());
         prop_assert_eq!(run.stopped, Some(StopCause::Cancelled));

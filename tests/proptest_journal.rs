@@ -5,8 +5,8 @@
 //! score every candidate exactly like the pinned clone-based reference.
 
 use flowmax::core::{
-    greedy_select, EstimateProvider, EstimatorConfig, FTree, GreedyConfig, ProbeEngine, ProbePlan,
-    SamplingProvider,
+    greedy_select, EstimateProvider, EstimatorConfig, FTree, GreedyConfig, NoObserver, ProbeEngine,
+    ProbePlan, RunControl, SamplingProvider,
 };
 use flowmax::graph::{EdgeId, GraphBuilder, ProbabilisticGraph, Probability, VertexId, Weight};
 use proptest::prelude::*;
@@ -213,11 +213,14 @@ proptest! {
             GreedyConfig::ft(6, 11).with_memo().with_ci().with_ds(),
         ];
         for cfg in configs {
-            let journal_run = greedy_select(&g, query, &cfg);
+            let unlimited = RunControl::unlimited();
+            let journal_run = greedy_select(&g, query, &cfg, &unlimited, &mut NoObserver);
             let clone_run = greedy_select(
                 &g,
                 query,
                 &cfg.with_probe_engine(ProbeEngine::CloneReference),
+                &unlimited,
+                &mut NoObserver,
             );
             prop_assert_eq!(&journal_run.selected, &clone_run.selected);
             prop_assert_eq!(journal_run.final_flow.to_bits(), clone_run.final_flow.to_bits());

@@ -5,7 +5,10 @@
 //! the unpruned exhaustive greedy pick, and the pick must be bit-identical
 //! at every thread count.
 
-use flowmax::core::{evaluate_selection, greedy_select, EstimatorConfig, GreedyConfig};
+use flowmax::core::{
+    evaluate_selection, greedy_select, EstimatorConfig, GreedyConfig, NoObserver, RunControl,
+    SelectionOutcome,
+};
 use flowmax::graph::{GraphBuilder, ProbabilisticGraph, Probability, VertexId, Weight};
 use flowmax::sampling::z_for_alpha;
 use proptest::prelude::*;
@@ -89,7 +92,13 @@ fn exact_flow(g: &ProbabilisticGraph, selection: &[flowmax::graph::EdgeId]) -> f
         EstimatorConfig::exact(),
         false,
         0,
+        1,
     )
+}
+
+fn select(g: &ProbabilisticGraph, cfg: &GreedyConfig) -> SelectionOutcome {
+    let control = RunControl::unlimited();
+    greedy_select(g, VertexId(0), cfg, &control, &mut NoObserver)
 }
 
 proptest! {
@@ -104,7 +113,7 @@ proptest! {
         // exact enumeration — the noise-free greedy pick.
         let mut exhaustive_cfg = GreedyConfig::ft(1, spec.seed);
         exhaustive_cfg.exact_edge_cap = 24;
-        let exhaustive = greedy_select(&g, VertexId(0), &exhaustive_cfg);
+        let exhaustive = select(&g, &exhaustive_cfg);
         if exhaustive.selected.is_empty() {
             // The query vertex is isolated; nothing to compare.
             return;
@@ -114,12 +123,12 @@ proptest! {
         // estimates (the full FT+M+CI+DS stack).
         let mut racing_cfg = GreedyConfig::ft(1, spec.seed).with_memo().with_ci().with_ds();
         racing_cfg.samples = 500; // racing quantizes up to ≥ 512-world finals
-        let racing = greedy_select(&g, VertexId(0), &racing_cfg.with_threads(1));
+        let racing = select(&g, &racing_cfg.with_threads(1));
         prop_assert_eq!(racing.selected.len(), 1);
 
         // Bit-identical selection at every thread count.
         for threads in [2usize, 8] {
-            let t = greedy_select(&g, VertexId(0), &racing_cfg.with_threads(threads));
+            let t = select(&g, &racing_cfg.with_threads(threads));
             prop_assert_eq!(&t.selected, &racing.selected, "threads = {}", threads);
             prop_assert_eq!(t.final_flow, racing.final_flow, "threads = {}", threads);
         }

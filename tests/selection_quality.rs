@@ -1,7 +1,10 @@
 //! Selection quality: the greedy heuristics against the brute-force optimum
 //! (Theorem 1 makes optimality NP-hard; §7 claims "high quality solutions").
 
-use flowmax::core::{exact_max_flow, greedy_select, Algorithm, GreedyConfig, Session};
+use flowmax::core::{
+    exact_max_flow, greedy_select, Algorithm, GreedyConfig, NoObserver, RunControl,
+    SelectionOutcome, Session,
+};
 use flowmax::graph::{GraphBuilder, ProbabilisticGraph, Probability, VertexId, Weight};
 use flowmax::sampling::SeedSequence;
 use rand::seq::SliceRandom;
@@ -46,6 +49,10 @@ fn exact_flow_of(g: &ProbabilisticGraph, query: VertexId, edges: &[flowmax::grap
     flowmax::graph::exact_expected_flow(g, &subset, query, false, 24).unwrap()
 }
 
+fn select(g: &ProbabilisticGraph, query: VertexId, cfg: &GreedyConfig) -> SelectionOutcome {
+    greedy_select(g, query, cfg, &RunControl::unlimited(), &mut NoObserver)
+}
+
 #[test]
 fn greedy_reaches_most_of_the_optimum() {
     let mut total_ratio = 0.0;
@@ -60,7 +67,7 @@ fn greedy_reaches_most_of_the_optimum() {
         }
         let mut cfg = GreedyConfig::ft(k, seed);
         cfg.exact_edge_cap = 20; // noise-free greedy: isolates heuristic loss
-        let greedy = greedy_select(&g, query, &cfg);
+        let greedy = select(&g, query, &cfg);
         let greedy_flow = exact_flow_of(&g, query, &greedy.selected);
         let ratio = greedy_flow / optimum.flow;
         // Myopic greedy can be arbitrarily bad on knapsack-trap instances
@@ -88,8 +95,8 @@ fn heuristics_lose_little_quality() {
         let g = random_graph(8, 13, seed);
         let query = VertexId(0);
         let k = 5;
-        let base = greedy_select(&g, query, &GreedyConfig::ft(k, seed));
-        let full = greedy_select(
+        let base = select(&g, query, &GreedyConfig::ft(k, seed));
+        let full = select(
             &g,
             query,
             &GreedyConfig::ft(k, seed).with_memo().with_ci().with_ds(),
@@ -157,7 +164,7 @@ fn larger_budget_never_hurts() {
     let mut prev = 0.0;
     for k in [1usize, 2, 4, 6, 9] {
         cfg.budget = k;
-        let out = greedy_select(&g, query, &cfg);
+        let out = select(&g, query, &cfg);
         let flow = exact_flow_of(&g, query, &out.selected);
         assert!(flow + 1e-9 >= prev, "k={k}: flow {flow} < previous {prev}");
         prev = flow;

@@ -374,6 +374,19 @@ fn deadline_and_cancel_verbs_degrade_queries_on_the_wire() {
     let (_, err) = control.roundtrip("CANCEL job1");
     assert!(err.starts_with("ERR unknown ticket"), "{err}");
 
+    // The baselines honour the deadline too: a dead-on-arrival Naive or
+    // Dijkstra query degrades at step zero instead of running to the end.
+    for algorithm in ["naive", "dijkstra"] {
+        let (_, degraded) = control.roundtrip(&format!(
+            "SOLVE {fp} query={} budget=3 samples=100 algorithm={algorithm} deadline_ms=0",
+            query.0
+        ));
+        assert!(
+            degraded.starts_with("OK DEGRADED steps_done=0 budget=3 "),
+            "{algorithm}: {degraded}"
+        );
+    }
+
     // A deadline generous enough to never fire answers byte-identically
     // to the undeadlined solve: the deadline moved nothing.
     let solve = format!("SOLVE {fp} query={} budget=3 samples=100 seed=5", query.0);

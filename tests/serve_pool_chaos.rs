@@ -41,8 +41,8 @@ fn coalesced_pair(
     Result<ServeResult, CoreError>,
 ) {
     server.pause();
-    let a = server.submit(fp, params(0, 3)).unwrap();
-    let b = server.submit(fp, params(1, 3)).unwrap();
+    let (a, _) = server.submit(fp, params(0, 3)).unwrap();
+    let (b, _) = server.submit(fp, params(1, 3)).unwrap();
     server.resume();
     (a.wait(), b.wait())
 }

@@ -3,7 +3,11 @@
 //! would), `run_many` bit-identity at every thread count, and streaming
 //! step events.
 
-use flowmax::core::{Algorithm, SelectionStep, Session, SolveRun};
+use std::io::Write;
+
+use flowmax::core::{
+    Algorithm, CancelToken, RunControl, SelectionStep, Session, SolveRun, StopCause,
+};
 use flowmax::datasets::{suggest_query, ErdosConfig, PartitionedConfig};
 use flowmax::graph::{ProbabilisticGraph, VertexId};
 
@@ -157,7 +161,7 @@ fn run_many_is_bit_identical_to_solo_runs_at_every_thread_count() {
                     .spec()
             })
             .collect();
-        let runs = session.run_many(&specs).unwrap();
+        let runs = session.run_many(&specs, &|_, _| {}).unwrap();
         assert_eq!(runs.len(), solo.len());
         for (i, (batch, reference)) in runs.iter().zip(&solo).enumerate() {
             assert_eq!(batch.selected, reference.selected, "threads={threads} #{i}");
@@ -172,6 +176,33 @@ fn run_many_is_bit_identical_to_solo_runs_at_every_thread_count() {
         assert_eq!(runs[0].selected, runs[2].selected, "threads={threads}");
         assert_eq!(runs[0].flow, runs[2].flow, "threads={threads}");
     }
+}
+
+/// `flowmax solve --trace` cancels the run when a step's line cannot be
+/// written (a closed stdout); Naive checks the token between iterations
+/// too, so a run whose first write fails stops after that one step.
+#[test]
+fn write_error_cancel_stops_a_naive_run_after_one_step() {
+    let g = erdos(33);
+    let q = suggest_query(&g);
+    let cancel = CancelToken::new();
+    let mut closed: &mut [u8] = &mut []; // every write fails
+    let run = Session::new(&g)
+        .with_seed(5)
+        .query(q)
+        .unwrap()
+        .algorithm(Algorithm::Naive)
+        .budget(20)
+        .samples(100)
+        .control(RunControl::unlimited().with_cancel(cancel.clone()))
+        .run_with(&mut |step: &SelectionStep| {
+            if writeln!(closed, "iter {}: edge {}", step.iteration, step.edge).is_err() {
+                cancel.cancel();
+            }
+        })
+        .unwrap();
+    assert_eq!(run.stopped, Some(StopCause::Cancelled));
+    assert_eq!(run.selected.len(), 1);
 }
 
 /// Satellite of the persistent-pool PR, at the session-API level: batches
@@ -196,7 +227,7 @@ fn warm_pool_and_thread_count_never_leak_into_run_many() {
             })
             .collect();
         session
-            .run_many(&specs)
+            .run_many(&specs, &|_, _| {})
             .unwrap()
             .into_iter()
             .map(|r| (r.selected.clone(), r.flow, r.algorithm_flow))
@@ -219,7 +250,7 @@ fn warm_pool_and_thread_count_never_leak_into_run_many() {
                 .spec()
         })
         .collect();
-    assert_eq!(warm.run_many(&warmup).unwrap().len(), 100);
+    assert_eq!(warm.run_many(&warmup, &|_, _| {}).unwrap().len(), 100);
 
     assert_eq!(batch(8), fresh, "warm pool changed run_many results");
     assert_eq!(batch(1), fresh, "thread count leaked into results");
