@@ -24,9 +24,15 @@
 //!   *shared* tree through the undo journal ([`FTree::apply`]), evaluates,
 //!   and rolls back bit-identically ([`FTree::rollback`]) — `O(touched
 //!   components)` per probe instead of the historical whole-tree clone.
-//!   The clone-based path survives only as the pinned reference
-//!   ([`FTree::probe_plan_cloning`]) that benchmarks and equivalence tests
-//!   compare against.
+//!   One helper runs that apply for every caller: it offers the formed
+//!   component's snapshot to whoever may already hold its estimate (a
+//!   provider, a warm race lane, a supplied score-time estimate) and scores
+//!   inside the same apply when one answers, so a probe whose estimate is
+//!   at hand pays exactly one insertion. The clone-based path survives only
+//!   as the pinned reference ([`FTree::probe_plan_cloning`]) that
+//!   benchmarks and equivalence tests compare against.
+
+use std::sync::Arc;
 
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
 use flowmax_sampling::{ComponentEstimate, ComponentGraph};
@@ -355,13 +361,14 @@ pub enum ProbePlan {
 /// The deferred half of a sampled probe: which component must be estimated,
 /// and how to turn an estimate into a flow score.
 ///
-/// Journal-based structural plans hold only the candidate edge — scoring
-/// re-applies it to the shared tree via the undo journal and rolls back.
-/// The plan is therefore only valid while the tree it was created from is
-/// unchanged (the invariant every selection iteration already maintains).
+/// Journal-based structural plans hold only the candidate edge and a share
+/// of the formed component's snapshot — scoring re-applies the edge to the
+/// shared tree via the undo journal and rolls back. The plan is therefore
+/// only valid while the tree it was created from is unchanged (the
+/// invariant every selection iteration already maintains).
 #[derive(Debug)]
 pub struct SampledProbe {
-    snapshot: ComponentGraph,
+    snapshot: Arc<ComponentGraph>,
     cost_edges: usize,
     kind: SampledKind,
 }
@@ -439,7 +446,7 @@ impl SampledProbe {
         include_query: bool,
         alpha: f64,
         estimate: ComponentEstimate,
-    ) -> (ProbeOutcome, Option<CommitReplay>) {
+    ) -> Scored {
         match &mut self.kind {
             SampledKind::InBi { cid } => {
                 let (flow, lower, upper) = if tree.flow_cache_enabled() {
@@ -472,40 +479,17 @@ impl SampledProbe {
                     None,
                 )
             }
-            SampledKind::Structural { edge, case } => {
-                // Apply → evaluate → rollback on the shared tree. The
-                // supplied provider hands the insertion its estimate
-                // directly, so no sampling and no tree clone happens here.
-                let mut supplied = SuppliedProvider {
-                    estimate: Some(estimate),
+            SampledKind::Structural { edge, .. } => {
+                // Apply → evaluate → rollback on the shared tree, the
+                // supplied estimate standing in for sampling.
+                let mut supplied = Some(estimate);
+                let score = InApplyScore {
+                    include_query,
+                    alpha,
+                    estimate: &mut |_| supplied.take(),
                 };
-                let (report, journal) = tree
-                    .apply(graph, *edge, &mut supplied)
-                    .expect("plan stays applicable while the tree is unchanged");
-                let cid = report
-                    .component
-                    .expect("cycle insertions always produce a bi component");
-                let (flow, lower, upper) = if tree.flow_cache_enabled() {
-                    tree.flow_with_bounds_cached(graph, include_query, cid, alpha, &journal)
-                } else {
-                    tree.flow_with_bounds(graph, include_query, cid, alpha)
-                };
-                let replay = if tree.flow_cache_enabled() {
-                    Some(tree.rollback_capturing(journal, cid))
-                } else {
-                    tree.rollback(journal);
-                    None
-                };
-                (
-                    ProbeOutcome {
-                        flow,
-                        lower,
-                        upper,
-                        case: *case,
-                        sampling_cost_edges: self.cost_edges,
-                    },
-                    replay,
-                )
+                let (_, scored) = tree.probe_structural(graph, *edge, Some(score));
+                scored.expect("a supplied estimate is always scored")
             }
             SampledKind::StructuralCloned {
                 tree: clone,
@@ -532,7 +516,7 @@ impl SampledProbe {
 
 /// Captures the single component snapshot a structural probe insertion
 /// estimates, returning a placeholder so the estimate can be supplied
-/// later.
+/// later (the clone-based reference engine).
 #[derive(Default)]
 struct CaptureProvider {
     snapshot: Option<ComponentGraph>,
@@ -549,9 +533,9 @@ impl EstimateProvider for CaptureProvider {
     }
 }
 
-/// Defers estimation without copying the snapshot: the fused
-/// [`FTree::probe_edge`] path estimates the applied component's own
-/// snapshot afterwards, so nothing needs capturing.
+/// Defers estimation without copying the snapshot: the journalled
+/// structural probe reads the applied component's own snapshot afterwards,
+/// so nothing needs capturing.
 struct PlaceholderProvider;
 
 impl EstimateProvider for PlaceholderProvider {
@@ -560,20 +544,27 @@ impl EstimateProvider for PlaceholderProvider {
     }
 }
 
-/// Hands a pre-computed estimate to the single component a structural
-/// probe's re-apply forms (the score-time counterpart of
-/// [`CaptureProvider`]).
-struct SuppliedProvider {
-    estimate: Option<ComponentEstimate>,
+/// Scoring inside a structural probe's own apply: `estimate` is offered
+/// the formed component's snapshot and, when it answers, the candidate is
+/// scored before the rollback instead of by a second apply.
+pub(crate) struct InApplyScore<'a> {
+    pub(crate) include_query: bool,
+    pub(crate) alpha: f64,
+    pub(crate) estimate: &'a mut dyn FnMut(&ComponentGraph) -> Option<ComponentEstimate>,
 }
 
-impl EstimateProvider for SuppliedProvider {
-    fn estimate(&mut self, _snapshot: &ComponentGraph) -> ComponentEstimate {
-        self.estimate
-            .take()
-            .expect("a structural probe estimates exactly one component")
-    }
+/// How [`FTree::probe_plan_with`] answers a structural candidate.
+pub(crate) enum PlanMode<'a> {
+    /// Insert into a tree clone (the pinned reference engine).
+    Cloning,
+    /// Journalled apply → rollback on the shared tree, scoring inside that
+    /// apply when the [`InApplyScore`] answers.
+    Journal(Option<InApplyScore<'a>>),
 }
+
+/// A probe score plus its redo images (structural journal probes with the
+/// flow cache enabled).
+pub(crate) type Scored = (ProbeOutcome, Option<CommitReplay>);
 
 impl FTree {
     /// The expected information flow `E(flow(Q, G_selected))` under the
@@ -1000,11 +991,11 @@ impl FTree {
     /// `base_flow` must be `self.expected_flow(graph, include_query)` — the
     /// caller computes it once per iteration and shares it across probes.
     /// The tree reads unmodified afterwards; structural candidates are
-    /// evaluated with **one** journalled apply — the captured component
+    /// evaluated with **one** journalled apply — the formed component's
     /// snapshot is estimated and scored while the insertion is still
-    /// applied, then rolled back — never by cloning. (The split
-    /// [`FTree::probe_plan`] + [`SampledProbe::score`] form, which the
-    /// racing engine needs, pays the apply twice; one-shot probes fuse it.)
+    /// applied, then rolled back — never by cloning. The racing engine's
+    /// warm candidates take the same single apply through
+    /// [`FTree::probe_plan`]'s crate-internal form.
     ///
     /// Returns candidate-specific confidence bounds alongside the point
     /// estimate: exact for analytic (leaf) probes, interval-derived for
@@ -1037,47 +1028,19 @@ impl FTree {
         include_query: bool,
         alpha: f64,
         provider: &mut dyn EstimateProvider,
-    ) -> Result<(ProbeOutcome, Option<CommitReplay>), CoreError> {
-        if matches!(self.classify_candidate(graph, e)?, ProbeClass::Structural) {
-            // Fused structural probe: apply once, estimate the new
-            // component's own snapshot in place, score, roll back — no
-            // snapshot copy, no clone.
-            let (report, journal) = self
-                .apply(graph, e, &mut PlaceholderProvider)
-                .expect("probe preconditions were just checked");
-            let cid = report
-                .component
-                .expect("cycle insertions always produce a bi component");
-            let estimate = {
-                let Kind::Bi { snapshot, .. } = &self.comp(cid).kind else {
-                    unreachable!("cycle insertions always produce a bi component")
-                };
-                provider.estimate(snapshot)
-            };
-            self.set_bi_estimate(cid, estimate);
-            let (flow, lower, upper) = if self.flow_cache_enabled() {
-                self.flow_with_bounds_cached(graph, include_query, cid, alpha, &journal)
-            } else {
-                self.flow_with_bounds(graph, include_query, cid, alpha)
-            };
-            let replay = if self.flow_cache_enabled() {
-                Some(self.rollback_capturing(journal, cid))
-            } else {
-                self.rollback(journal);
-                None
-            };
-            return Ok((
-                ProbeOutcome {
-                    flow,
-                    lower,
-                    upper,
-                    case: report.case,
-                    sampling_cost_edges: report.sampled_edge_count,
-                },
-                replay,
-            ));
+    ) -> Result<Scored, CoreError> {
+        let mut estimate = |snapshot: &ComponentGraph| Some(provider.estimate(snapshot));
+        let score = InApplyScore {
+            include_query,
+            alpha,
+            estimate: &mut estimate,
+        };
+        let (plan, scored) =
+            self.probe_plan_with(graph, e, base_flow, PlanMode::Journal(Some(score)))?;
+        if let Some(scored) = scored {
+            return Ok(scored);
         }
-        match self.probe_plan(graph, e, base_flow)? {
+        match plan {
             ProbePlan::Analytic(outcome) => Ok((outcome, None)),
             ProbePlan::Sampled(mut sampled) => {
                 let estimate = provider.estimate(sampled.snapshot());
@@ -1135,7 +1098,8 @@ impl FTree {
         e: EdgeId,
         base_flow: f64,
     ) -> Result<ProbePlan, CoreError> {
-        self.probe_plan_impl(graph, e, base_flow, false)
+        self.probe_plan_with(graph, e, base_flow, PlanMode::Journal(None))
+            .map(|(plan, _)| plan)
     }
 
     /// The pinned clone-based reference form of [`FTree::probe_plan`]: the
@@ -1148,16 +1112,22 @@ impl FTree {
         e: EdgeId,
         base_flow: f64,
     ) -> Result<ProbePlan, CoreError> {
-        self.probe_plan_impl(graph, e, base_flow, true)
+        self.probe_plan_with(graph, e, base_flow, PlanMode::Cloning)
+            .map(|(plan, _)| plan)
     }
 
-    fn probe_plan_impl(
+    /// [`FTree::probe_plan`] under an explicit [`PlanMode`]. In journal
+    /// mode with an [`InApplyScore`], a structural candidate whose estimate
+    /// the scorer already holds is also scored inside its planning apply,
+    /// and that score is returned beside the plan (which can still
+    /// re-score it later).
+    pub(crate) fn probe_plan_with(
         &mut self,
         graph: &ProbabilisticGraph,
         e: EdgeId,
         base_flow: f64,
-        cloning: bool,
-    ) -> Result<ProbePlan, CoreError> {
+        mode: PlanMode<'_>,
+    ) -> Result<(ProbePlan, Option<Scored>), CoreError> {
         match self.classify_candidate(graph, e)? {
             ProbeClass::Leaf { anchor, leaf } => {
                 let p = graph.probability(e).value();
@@ -1167,82 +1137,137 @@ impl FTree {
                     Some(cid) if self.comp(cid).is_bi() => InsertCase::LeafBi,
                     _ => InsertCase::LeafMono,
                 };
-                Ok(ProbePlan::Analytic(ProbeOutcome {
+                let outcome = ProbeOutcome {
                     flow,
                     lower: flow,
                     upper: flow,
                     case,
                     sampling_cost_edges: 0,
-                }))
+                };
+                Ok((ProbePlan::Analytic(outcome), None))
             }
             ProbeClass::InBi { cid } => {
                 // IIIa probe: only this component is re-estimated.
                 let Kind::Bi { edges, .. } = &self.comp(cid).kind else {
                     unreachable!()
                 };
-                let mut probe_edges = edges.clone();
+                let mut probe_edges = edges.to_vec();
                 probe_edges.push(e);
                 let av = self.comp(cid).articulation;
                 let mut scratch = std::mem::take(&mut self.local_scratch);
                 let snapshot = ComponentGraph::build_with(graph, av, &probe_edges, &mut scratch);
                 self.local_scratch = scratch;
-                Ok(ProbePlan::Sampled(Box::new(SampledProbe {
-                    snapshot,
+                let plan = SampledProbe {
+                    snapshot: Arc::new(snapshot),
                     cost_edges: probe_edges.len(),
                     kind: SampledKind::InBi { cid },
-                })))
+                };
+                Ok((ProbePlan::Sampled(Box::new(plan)), None))
             }
-            ProbeClass::Structural if cloning => {
-                // Pinned reference: clone and insert now, estimate later.
-                let mut clone = self.clone();
-                let mut capture = CaptureProvider::default();
-                let report = clone
-                    .insert_edge(graph, e, &mut capture)
-                    .expect("probe preconditions were just checked");
-                let cid = report
-                    .component
-                    .expect("cycle insertions always produce a bi component");
-                let snapshot = capture
-                    .snapshot
-                    .expect("cycle insertions estimate their new component");
-                Ok(ProbePlan::Sampled(Box::new(SampledProbe {
-                    snapshot,
-                    cost_edges: report.sampled_edge_count,
-                    kind: SampledKind::StructuralCloned {
-                        tree: Box::new(clone),
-                        cid,
-                        case: report.case,
-                    },
-                })))
-            }
-            ProbeClass::Structural => {
-                // Structural probe: journalled apply on the shared tree
-                // captures the would-be component's snapshot, then rolls
-                // back — no clone, cost proportional to the touched slots.
-                let mut capture = CaptureProvider::default();
-                let (report, journal) = self
-                    .apply(graph, e, &mut capture)
-                    .expect("probe preconditions were just checked");
-                self.rollback(journal);
-                let snapshot = capture
-                    .snapshot
-                    .expect("cycle insertions estimate their new component");
-                Ok(ProbePlan::Sampled(Box::new(SampledProbe {
-                    snapshot,
-                    cost_edges: report.sampled_edge_count,
-                    kind: SampledKind::Structural {
-                        edge: e,
-                        case: report.case,
-                    },
-                })))
-            }
+            ProbeClass::Structural => match mode {
+                PlanMode::Cloning => {
+                    // Pinned reference: clone and insert now, estimate later.
+                    let mut clone = self.clone();
+                    let mut capture = CaptureProvider::default();
+                    let report = clone
+                        .insert_edge(graph, e, &mut capture)
+                        .expect("probe preconditions were just checked");
+                    let cid = report
+                        .component
+                        .expect("cycle insertions always produce a bi component");
+                    let snapshot = capture
+                        .snapshot
+                        .expect("cycle insertions estimate their new component");
+                    let plan = SampledProbe {
+                        snapshot: Arc::new(snapshot),
+                        cost_edges: report.sampled_edge_count,
+                        kind: SampledKind::StructuralCloned {
+                            tree: Box::new(clone),
+                            cid,
+                            case: report.case,
+                        },
+                    };
+                    Ok((ProbePlan::Sampled(Box::new(plan)), None))
+                }
+                PlanMode::Journal(score) => {
+                    let (plan, scored) = self.probe_structural(graph, e, score);
+                    Ok((ProbePlan::Sampled(Box::new(plan)), scored))
+                }
+            },
         }
+    }
+
+    /// The one journalled structural probe (cases IIIb/IV) behind every
+    /// journal-engine entry point: applies `e` to the shared tree with the
+    /// formed component's estimate deferred, offers that component's
+    /// snapshot to `score` and — when it answers — sets the estimate and
+    /// scores the candidate while the insertion is still in place. The
+    /// rollback then restores the tree bit-identically, capturing the redo
+    /// images when a score was taken with the flow cache enabled.
+    ///
+    /// Always returns the plan (it shares the applied snapshot — no copy),
+    /// so a later [`SampledProbe::score`] can re-score at a new estimate.
+    fn probe_structural(
+        &mut self,
+        graph: &ProbabilisticGraph,
+        e: EdgeId,
+        score: Option<InApplyScore<'_>>,
+    ) -> (SampledProbe, Option<Scored>) {
+        let (report, journal) = self
+            .apply(graph, e, &mut PlaceholderProvider)
+            .expect("probe preconditions were just checked");
+        let cid = report
+            .component
+            .expect("cycle insertions always produce a bi component");
+        let Kind::Bi { snapshot, .. } = &self.comp(cid).kind else {
+            unreachable!("cycle insertions always produce a bi component")
+        };
+        let plan = SampledProbe {
+            snapshot: Arc::clone(snapshot),
+            cost_edges: report.sampled_edge_count,
+            kind: SampledKind::Structural {
+                edge: e,
+                case: report.case,
+            },
+        };
+        let Some(InApplyScore {
+            include_query,
+            alpha,
+            estimate,
+        }) = score
+        else {
+            self.rollback(journal);
+            return (plan, None);
+        };
+        let Some(estimate) = estimate(&plan.snapshot) else {
+            self.rollback(journal);
+            return (plan, None);
+        };
+        self.set_bi_estimate(cid, estimate);
+        let (flow, lower, upper) = if self.flow_cache_enabled() {
+            self.flow_with_bounds_cached(graph, include_query, cid, alpha, &journal)
+        } else {
+            self.flow_with_bounds(graph, include_query, cid, alpha)
+        };
+        let replay = if self.flow_cache_enabled() {
+            Some(self.rollback_capturing(journal, cid))
+        } else {
+            self.rollback(journal);
+            None
+        };
+        let outcome = ProbeOutcome {
+            flow,
+            lower,
+            upper,
+            case: report.case,
+            sampling_cost_edges: report.sampled_edge_count,
+        };
+        (plan, Some((outcome, replay)))
     }
 }
 
-/// How a candidate probe is answered — the **single** classification shared
-/// by the plan engines and the fused [`FTree::probe_edge`] path, so the two
-/// can never drift apart.
+/// How a candidate probe is answered — the **single** classification every
+/// probe entry point goes through.
 enum ProbeClass {
     /// Case II: `leaf` is outside the tree, `anchor` inside — analytic.
     Leaf { anchor: VertexId, leaf: VertexId },
@@ -1263,128 +1288,6 @@ mod tests {
 
     fn exact_provider() -> SamplingProvider {
         SamplingProvider::new(EstimatorConfig::exact(), 7)
-    }
-
-    /// Manual timing probe (not a correctness test): run with
-    /// `cargo test --release -p flowmax-core -- --ignored probe_timing --nocapture`.
-    #[test]
-    #[ignore]
-    fn probe_timing_breakdown() {
-        use crate::selection::MemoProvider;
-        use std::time::Instant;
-        let links = 100usize;
-        let mut b = GraphBuilder::new();
-        let diamond = Probability::new(0.99).unwrap();
-        let chordp = Probability::new(0.05).unwrap();
-        let h0 = b.add_vertex(Weight::ONE);
-        let mut hub = h0;
-        let mut prev_a: Option<VertexId> = None;
-        let mut chords = Vec::new();
-        let mut count = 0u32;
-        for _ in 0..links {
-            let a = b.add_vertex(Weight::ONE);
-            let bb = b.add_vertex(Weight::ONE);
-            let next = b.add_vertex(Weight::ONE);
-            b.add_edge(hub, a, diamond).unwrap();
-            b.add_edge(hub, bb, diamond).unwrap();
-            b.add_edge(a, next, diamond).unwrap();
-            b.add_edge(bb, next, diamond).unwrap();
-            count += 4;
-            if let Some(pa) = prev_a {
-                b.add_edge(pa, a, chordp).unwrap();
-                chords.push(EdgeId(count));
-                count += 1;
-            }
-            prev_a = Some(a);
-            hub = next;
-        }
-        let g = b.build();
-        let inner = SamplingProvider::new(EstimatorConfig::monte_carlo(1000), 13);
-        let mut provider = MemoProvider::new(inner, true);
-        let mut tree = FTree::new(&g, VertexId(0));
-        for e in g.edge_ids() {
-            if g.probability(e).value() > 0.5 {
-                tree.insert_edge(&g, e, &mut provider).unwrap();
-            }
-        }
-        let base = tree.expected_flow(&g, false);
-        let reps = 2000usize;
-        // Warm the memo for every chord's merged shape first.
-        for &e in &chords {
-            let _ = tree.probe_edge(&g, e, base, false, 0.05, &mut provider);
-        }
-
-        let t = Instant::now();
-        for i in 0..reps {
-            let e = chords[i % chords.len()];
-            let (_r, j) = tree.apply(&g, e, &mut provider).unwrap();
-            tree.rollback(j);
-        }
-        println!(
-            "apply+memo+rollback      : {:8.2} us",
-            t.elapsed().as_secs_f64() * 1e6 / reps as f64
-        );
-
-        let t = Instant::now();
-        for i in 0..reps {
-            let e = chords[i % chords.len()];
-            let _ = tree
-                .probe_edge(&g, e, base, false, 0.05, &mut provider)
-                .unwrap();
-        }
-        println!(
-            "journal fused probe      : {:8.2} us",
-            t.elapsed().as_secs_f64() * 1e6 / reps as f64
-        );
-
-        let t = Instant::now();
-        let mut acc = 0.0;
-        for _ in 0..reps {
-            acc += tree.expected_flow(&g, false);
-        }
-        println!(
-            "single-lane traversal    : {:8.2} us ({acc:.0})",
-            t.elapsed().as_secs_f64() * 1e6 / reps as f64
-        );
-
-        let t = Instant::now();
-        let cid = tree.component_ids().next().unwrap();
-        let mut acc = 0.0;
-        for _ in 0..reps {
-            let (p, _, _) = tree.flow_with_bounds(&g, false, cid, 0.05);
-            acc += p;
-        }
-        println!(
-            "triple-lane traversal    : {:8.2} us ({acc:.0})",
-            t.elapsed().as_secs_f64() * 1e6 / reps as f64
-        );
-
-        tree.enable_flow_cache();
-        let cached = tree.flow_cached_total(&g, false);
-        assert_eq!(cached.to_bits(), base.to_bits());
-        let t = Instant::now();
-        for i in 0..reps {
-            let e = chords[i % chords.len()];
-            let _ = tree
-                .probe_edge(&g, e, cached, false, 0.05, &mut provider)
-                .unwrap();
-        }
-        println!(
-            "incremental fused probe  : {:8.2} us",
-            t.elapsed().as_secs_f64() * 1e6 / reps as f64
-        );
-
-        let t = Instant::now();
-        for i in 0..reps {
-            let e = chords[i % chords.len()];
-            let (_r, j) = tree.apply(&g, e, &mut provider).unwrap();
-            let cid = _r.component.unwrap();
-            let _ = tree.rollback_capturing(j, cid);
-        }
-        println!(
-            "apply+memo+capture       : {:8.2} us",
-            t.elapsed().as_secs_f64() * 1e6 / reps as f64
-        );
     }
 
     /// Q(0)-1 (0.8), 1-2 (0.5), 2-0 (0.4), 2-3 (0.9), weights = id.

@@ -15,7 +15,7 @@
 //!    component, re-parent the inherited children and orphan groups, and
 //!    estimate its reachability function.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
@@ -119,7 +119,7 @@ impl FTree {
                         parent: None,
                         children: Vec::new(),
                         kind: Kind::Mono {
-                            members: BTreeMap::new(),
+                            members: Arc::default(),
                         },
                     };
                     let id = self.alloc(c);
@@ -159,7 +159,9 @@ impl FTree {
                     articulation: anchor,
                     parent: Some(cid),
                     children: Vec::new(),
-                    kind: Kind::Mono { members },
+                    kind: Kind::Mono {
+                        members: Arc::new(members),
+                    },
                 };
                 let id = self.alloc(c);
                 self.comp_mut(cid).children.push(id);
@@ -198,7 +200,7 @@ impl FTree {
         let Kind::Mono { members } = &mut self.comp_mut(cid).kind else {
             unreachable!()
         };
-        members.insert(
+        Arc::make_mut(members).insert(
             leaf,
             MonoMember {
                 parent: anchor,
@@ -229,7 +231,7 @@ impl FTree {
             let Kind::Bi { edges, .. } = &mut self.comp_mut(cid).kind else {
                 unreachable!()
             };
-            edges.push(e);
+            Arc::make_mut(edges).push(e);
             let n = edges.len();
             self.refresh_bi(graph, cid, provider);
             return InsertReport {
@@ -347,22 +349,36 @@ impl FTree {
     }
 
     /// Lowest common ancestor of two components in the F-tree
-    /// (`None` = the virtual root at `Q`).
-    fn lca_component(&self, a: Option<ComponentId>, b: Option<ComponentId>) -> Option<ComponentId> {
-        let mut ancestors = HashSet::new();
-        let mut cur = a;
-        while let Some(c) = cur {
-            ancestors.insert(c);
-            cur = self.comp(c).parent;
-        }
-        let mut cur = b;
-        while let Some(c) = cur {
-            if ancestors.contains(&c) {
-                return Some(c);
+    /// (`None` = the virtual root at `Q`). Allocation-free: the deeper
+    /// chain is lifted to the other's depth, then both climb in step.
+    fn lca_component(
+        &self,
+        mut a: Option<ComponentId>,
+        mut b: Option<ComponentId>,
+    ) -> Option<ComponentId> {
+        let depth = |mut c: Option<ComponentId>| {
+            let mut d = 0usize;
+            while let Some(cid) = c {
+                d += 1;
+                c = self.comp(cid).parent;
             }
-            cur = self.comp(c).parent;
+            d
+        };
+        let up = |c: Option<ComponentId>| c.and_then(|cid| self.comp(cid).parent);
+        let (mut da, mut db) = (depth(a), depth(b));
+        while da > db {
+            a = up(a);
+            da -= 1;
         }
-        None
+        while db > da {
+            b = up(b);
+            db -= 1;
+        }
+        while a != b {
+            a = up(a);
+            b = up(b);
+        }
+        a
     }
 
     /// Walks a chain of components from `start`'s component up to (exclusive)
@@ -427,7 +443,7 @@ impl FTree {
             self.set_assignment(v, None); // reassigned to the new BC later
             members.push(v);
         }
-        edges.extend(bi_edges);
+        edges.extend(bi_edges.iter().copied());
         inherited.extend(comp.children);
     }
 
@@ -470,6 +486,7 @@ impl FTree {
         let Kind::Mono { members: mm } = &mut self.comp_mut(cid).kind else {
             panic!("move_mono_path on bi component")
         };
+        let mm = Arc::make_mut(mm);
         let mut v = from;
         while v != stop_vertex {
             let m = mm
@@ -556,6 +573,7 @@ impl FTree {
                 let Kind::Mono { members } = &mut self.comp_mut(cid).kind else {
                     unreachable!()
                 };
+                let members = Arc::make_mut(members);
                 for &v in group {
                     let m = members.remove(&v).expect("orphan is a member");
                     taken.insert(v, m);
@@ -566,7 +584,9 @@ impl FTree {
                 articulation: anchor,
                 parent: None, // fixed up when attached to the new BC
                 children: Vec::new(),
-                kind: Kind::Mono { members: taken },
+                kind: Kind::Mono {
+                    members: Arc::new(taken),
+                },
             };
             let oid = self.alloc(oc);
             for &v in group {
@@ -633,7 +653,7 @@ impl FTree {
             parent: None,
             children: Vec::new(),
             kind: Kind::Bi {
-                edges,
+                edges: Arc::new(edges),
                 snapshot: Arc::new(snapshot),
                 estimate: Arc::new(estimate),
                 local: Arc::new(local),

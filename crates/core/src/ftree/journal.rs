@@ -241,7 +241,7 @@ impl FTree {
     /// images on the way out, as a [`CommitReplay`] for `component` (the bi
     /// component the insertion formed). Restoration is bit-identical to a
     /// plain rollback; the only extra cost is moving the post-images out of
-    /// the arena instead of overwriting them.
+    /// the arena instead of overwriting them, linear in the journal.
     pub(crate) fn rollback_capturing(
         &mut self,
         journal: Journal,
@@ -264,15 +264,13 @@ impl FTree {
         let post_roots = std::mem::replace(&mut self.roots, roots);
         let post_version_counter = self.version_counter;
         self.version_counter = version_counter;
-        // Post-assignment of a vertex = its current value, recorded once
-        // (the journal may hold several writes for one vertex).
-        let mut post_assignments: Vec<(VertexId, Option<ComponentId>)> =
-            Vec::with_capacity(assignments.len());
-        for &(v, _) in &assignments {
-            if !post_assignments.iter().any(|&(pv, _)| pv == v) {
-                post_assignments.push((v, self.assignment[v.index()]));
-            }
-        }
+        // Post-assignment of a vertex = its current value. A vertex written
+        // twice (absorbed, then re-assigned) is captured twice with the same
+        // final owner, which `commit_replay` writes idempotently.
+        let post_assignments: Vec<(VertexId, Option<ComponentId>)> = assignments
+            .iter()
+            .map(|&(v, _)| (v, self.assignment[v.index()]))
+            .collect();
         for (v, owner) in assignments.into_iter().rev() {
             self.assignment[v.index()] = owner;
         }
@@ -498,6 +496,97 @@ mod tests {
         tree.insert_edge(&g, EdgeId(2), &mut pr).unwrap();
         reference.insert_edge(&g, EdgeId(2), &mut pr).unwrap();
         assert_eq!(tree, reference, "probe must not perturb the commit");
+    }
+
+    /// A case-IV insertion absorbing a bi component writes its vertices
+    /// twice: cleared on absorption, then assigned to the new component.
+    /// The redo capture keeps every write (no dedup); replaying them lands
+    /// each vertex on its final owner, exactly as `insert_edge` does.
+    #[test]
+    fn replay_of_doubly_written_vertices_equals_insert_edge() {
+        let g = graph();
+        let mut pr = provider();
+        let mut tree = FTree::new(&g, VertexId(0));
+        for e in [0u32, 1, 2, 3] {
+            tree.insert_edge(&g, EdgeId(e), &mut pr).unwrap();
+        }
+        let mut reference = tree.clone();
+        // Chord 1-3 closes a cycle across the bi {1, 2} and its mono child {3}.
+        let (report, journal) = tree.apply(&g, EdgeId(4), &mut pr).unwrap();
+        assert_eq!(report.case, InsertCase::CycleAcross);
+        let writes = |log: &[(VertexId, Option<ComponentId>)], v: u32| {
+            log.iter().filter(|&&(w, _)| w == VertexId(v)).count()
+        };
+        for v in 1..=3 {
+            assert_eq!(
+                writes(&journal.assignments, v),
+                2,
+                "v{v} absorbed, then re-assigned"
+            );
+        }
+        let replay = tree.rollback_capturing(journal, report.component.unwrap());
+        for v in 1..=3 {
+            assert_eq!(
+                writes(&replay.assignments, v),
+                2,
+                "the capture keeps both writes"
+            );
+        }
+        tree.commit_replay(replay);
+        reference.insert_edge(&g, EdgeId(4), &mut pr).unwrap();
+        assert_eq!(tree, reference);
+        tree.validate(&g).unwrap();
+    }
+
+    /// An apply that only re-parents a mono component journals it by
+    /// sharing its member map (a reference-count bump, not a deep copy),
+    /// and the rollback still restores the tree exactly.
+    #[test]
+    fn reparenting_image_shares_the_mono_member_map() {
+        // Q(0)-1-2 triangle with tail 2-3, leaf 0-4, then chord 4-1.
+        let mut b = GraphBuilder::new();
+        b.add_vertices(5, Weight::ONE);
+        let p = Probability::new(0.5).unwrap();
+        for (x, y) in [(0, 1), (1, 2), (0, 2), (2, 3), (0, 4), (4, 1)] {
+            b.add_edge(VertexId(x), VertexId(y), p).unwrap();
+        }
+        let g = b.build();
+        let mut pr = provider();
+        let mut tree = FTree::new(&g, VertexId(0));
+        for e in 0..5u32 {
+            tree.insert_edge(&g, EdgeId(e), &mut pr).unwrap();
+        }
+        let child = tree.component_of(VertexId(3)).unwrap();
+        let before = tree.clone();
+        let (report, journal) = tree.apply(&g, EdgeId(5), &mut pr).unwrap();
+        assert_eq!(report.case, InsertCase::CycleAcross);
+        assert_eq!(
+            tree.comp(child).parent,
+            report.component,
+            "the mono child hangs off the merged bi component"
+        );
+        let (_, image) = journal
+            .slots
+            .iter()
+            .find(|&&(slot, _)| slot == child.0)
+            .expect("re-parenting touches the child's slot");
+        let (
+            Some(Component {
+                kind: Kind::Mono { members: saved },
+                ..
+            }),
+            Kind::Mono { members: live },
+        ) = (image, &tree.comp(child).kind)
+        else {
+            panic!("the child stays mono");
+        };
+        assert!(
+            std::sync::Arc::ptr_eq(saved, live),
+            "the image must share the member map"
+        );
+        tree.rollback(journal);
+        assert_eq!(tree, before);
+        tree.validate(&g).unwrap();
     }
 
     /// The replay-commit golden: walking the Fig. 3 graph, every structural

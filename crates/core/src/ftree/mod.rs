@@ -26,6 +26,7 @@ mod insert;
 mod journal;
 mod validate;
 
+pub(crate) use flow::{InApplyScore, PlanMode};
 pub use flow::{ProbeOutcome, ProbePlan, SampledProbe};
 pub use insert::{InsertCase, InsertReport};
 pub(crate) use journal::CommitReplay;
@@ -225,6 +226,13 @@ impl std::ops::Index<&VertexId> for LocalMap {
 }
 
 /// The two component flavours of Def. 9.
+///
+/// Both flavours keep their payloads behind `Arc`s, so the undo journal's
+/// first-touch slot image of a component — taken on every structural probe
+/// for each component the insertion merely re-parents or re-links — costs
+/// reference-count bumps and a copy of the child list, never a deep copy
+/// of members, edges, snapshot or estimate. A payload the insertion does
+/// change is copied on write (`Arc::make_mut`) or replaced wholesale.
 #[allow(clippy::large_enum_variant)] // Bi is the hot, common variant; boxing
 // it would add an indirection to every flow evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -233,18 +241,18 @@ pub(crate) enum Kind {
     Mono {
         /// Members keyed by vertex; `BTreeMap` keeps every iteration
         /// deterministic (sampling order, hence results, are seed-stable).
-        members: BTreeMap<VertexId, MonoMember>,
+        /// Mutated through `Arc::make_mut`: copied only when a journal
+        /// image still shares it.
+        members: Arc<BTreeMap<VertexId, MonoMember>>,
     },
     /// Cyclic: estimated flow (Lemma 1 or exact enumeration).
     ///
-    /// The heavyweight payloads are `Arc`-shared: they are replaced
-    /// wholesale on every structural change (never mutated in place), so
-    /// the undo journal's first-touch slot snapshots — taken on every
-    /// structural probe — cost a reference-count bump instead of deep
-    /// copies of the snapshot graph, estimate vectors and member map.
+    /// The snapshot, estimate and local map are replaced wholesale on every
+    /// structural change; the edge list is appended to through
+    /// `Arc::make_mut` (case IIIa).
     Bi {
         /// The component's edge set (insertion order).
-        edges: Vec<EdgeId>,
+        edges: Arc<Vec<EdgeId>>,
         /// Compact snapshot used for (re-)estimation.
         snapshot: Arc<ComponentGraph>,
         /// `BC.P(v)`: reachability of each snapshot vertex toward the AV.
@@ -644,7 +652,7 @@ impl FTree {
         else {
             panic!("refresh_bi on a mono component");
         };
-        let new_snapshot = ComponentGraph::build_with(graph, av, edges, &mut scratch);
+        let new_snapshot = ComponentGraph::build_with(graph, av, edges.as_slice(), &mut scratch);
         let new_estimate = provider.estimate(&new_snapshot);
         let new_local = LocalMap::from_snapshot(new_snapshot.vertices());
         *snapshot = Arc::new(new_snapshot);
@@ -756,7 +764,7 @@ mod tests {
             parent: None,
             children: Vec::new(),
             kind: Kind::Mono {
-                members: BTreeMap::new(),
+                members: Arc::default(),
             },
         };
         let id1 = t.alloc(c.clone());

@@ -124,7 +124,7 @@ impl FTree {
                 continue;
             };
             let av = comp.articulation;
-            for (&v, m) in members {
+            for (&v, m) in members.iter() {
                 // Parent edge must be selected and connect v to its parent.
                 if !self.selected.contains(m.parent_edge) {
                     return Err(format!("mono member {v:?} parent edge not selected"));
@@ -189,7 +189,7 @@ impl FTree {
                 return Err(format!("{cid:?} snapshot AV mismatch"));
             }
             let mut edge_set = BTreeSet::new();
-            for &e in edges {
+            for &e in edges.iter() {
                 if !self.selected.contains(e) {
                     return Err(format!("{cid:?} contains unselected edge {e:?}"));
                 }
@@ -235,7 +235,7 @@ impl FTree {
             let comp = self.comp(cid);
             let edges: Vec<EdgeId> = match &comp.kind {
                 Kind::Mono { members } => members.values().map(|m| m.parent_edge).collect(),
-                Kind::Bi { edges, .. } => edges.clone(),
+                Kind::Bi { edges, .. } => edges.to_vec(),
             };
             for e in edges {
                 if let Some(prev) = holder.insert(e, cid) {
@@ -338,6 +338,7 @@ mod tests {
     use super::*;
     use crate::estimator::{EstimatorConfig, SamplingProvider};
     use flowmax_graph::{GraphBuilder, Probability, Weight};
+    use std::sync::Arc;
 
     #[test]
     fn validate_passes_through_mixed_insertions() {
@@ -387,7 +388,7 @@ mod tests {
         // Corrupt a cached reach value.
         for slot in t.arena.iter_mut().flatten() {
             if let Kind::Mono { members } = &mut slot.kind {
-                if let Some(m) = members.values_mut().next() {
+                if let Some(m) = Arc::make_mut(members).values_mut().next() {
                     m.reach = 0.123;
                 }
             }

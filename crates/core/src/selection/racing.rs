@@ -8,9 +8,16 @@
 //! in rounds. Each round extends every survivor's [`IncrementalComponent`]
 //! to the round's whole-batch sample target **as a single multi-candidate
 //! job** ([`ParallelEstimator::extend_components`]), re-scores the probes
-//! at the grown estimates, and feeds the flow bounds back to the planner,
-//! which eliminates dominated candidates (never below the 30-sample CLT
-//! floor) and reallocates their unspent budget to the final round.
+//! whose lanes grew, and feeds the flow bounds back to the planner, which
+//! eliminates dominated candidates (never below the 30-sample CLT floor)
+//! and reallocates their unspent budget to the final round.
+//!
+//! A structural (case IIIb/IV) plan is a journalled insertion on the shared
+//! tree. When the formed component's lane already covers round 0's target
+//! — a *warm* lane, the common case once §6.2 memoization has seen the
+//! component — the candidate is scored inside that same planning apply, so
+//! it costs one insertion per iteration; only cold candidates are applied
+//! again after their lanes are extended.
 //!
 //! # Determinism contract
 //!
@@ -27,11 +34,14 @@ use std::collections::HashMap;
 
 use flowmax_graph::{EdgeId, ProbabilisticGraph};
 use flowmax_sampling::{
-    CandidateRace, IncrementalComponent, LaneStatus, ParallelEstimator, RaceConfig, SeedSequence,
+    CandidateRace, ComponentGraph, IncrementalComponent, LaneStatus, ParallelEstimator, RaceConfig,
+    SeedSequence,
 };
 
 use crate::estimator::EstimateProvider;
-use crate::ftree::{CommitReplay, FTree, ProbeOutcome, ProbePlan, SampledProbe};
+use crate::ftree::{
+    CommitReplay, FTree, InApplyScore, PlanMode, ProbeOutcome, ProbePlan, SampledProbe,
+};
 use crate::metrics::SelectionMetrics;
 use crate::selection::greedy::{GreedyConfig, ProbeEngine, ProbeRecord};
 use crate::selection::memo::MemoProvider;
@@ -54,6 +64,20 @@ struct Racer {
     edge: EdgeId,
     plan: Box<SampledProbe>,
     key: u64,
+    /// The latest score and the lane size (worlds drawn) it was taken at.
+    scored: Option<(ProbeOutcome, u32)>,
+    /// Redo images captured by the latest score. A round that reuses the
+    /// score (lane already at target) keeps them: the lane's estimate is a
+    /// pure function of its drawn worlds, so the images still match what
+    /// a re-score would produce.
+    replay: Option<CommitReplay>,
+}
+
+/// Cases IIIb/IV: the probes that run an insertion on the shared tree.
+#[cfg(debug_assertions)]
+fn is_structural(case: crate::ftree::InsertCase) -> bool {
+    use crate::ftree::InsertCase;
+    matches!(case, InsertCase::CycleInMono | InsertCase::CycleAcross)
 }
 
 impl RaceDriver {
@@ -91,15 +115,49 @@ impl RaceDriver {
             // is intrinsic to the engine, not a memo effect.
             self.lanes.clear();
         }
+        let race_config = RaceConfig::paper_default(config.samples);
+        // Round 0 targets the ladder's first rung: a lane already holding
+        // that many worlds is warm, and its racer is scored inside its
+        // planning apply instead of by a second one.
+        let opening = race_config.ladder()[0];
+        let journal = config.probe_engine == ProbeEngine::Incremental;
+        // Every structural plan inserts once (journalled apply, or the
+        // reference engine's clone insert); every journal re-score inserts
+        // once more. Nothing else may insert.
+        #[cfg(debug_assertions)]
+        let inserts_before = FTree::debug_structural_insert_count();
+        #[cfg(debug_assertions)]
+        let mut structural_applies = 0u64;
         let mut records: Vec<ProbeRecord> = Vec::with_capacity(pool.len());
         let mut racers: Vec<Racer> = Vec::new();
         for &e in pool {
-            let plan = if config.probe_engine == ProbeEngine::CloneReference {
-                tree.probe_plan_cloning(graph, e, base_flow)
-            } else {
-                tree.probe_plan(graph, e, base_flow)
+            // A component's estimate is at hand without sampling when it is
+            // exactly enumerable (the same memoized provider path as plain
+            // probing: the provider's exact branch neither draws samples nor
+            // advances its RNG call counter) or its lane is warm.
+            let lanes = &self.lanes;
+            let mut at_hand = |snapshot: &ComponentGraph| {
+                if snapshot.uncertain_edge_count() <= config.exact_edge_cap {
+                    return Some(memo.estimate(snapshot));
+                }
+                lanes
+                    .get(&snapshot.fingerprint())
+                    .filter(|lane| lane.drawn() >= opening)
+                    .map(IncrementalComponent::estimate)
             };
-            match plan.expect("candidates are probeable") {
+            let mode = if journal {
+                PlanMode::Journal(Some(InApplyScore {
+                    include_query: config.include_query,
+                    alpha: config.alpha,
+                    estimate: &mut at_hand,
+                }))
+            } else {
+                PlanMode::Cloning
+            };
+            let (plan, scored) = tree
+                .probe_plan_with(graph, e, base_flow, mode)
+                .expect("candidates are probeable");
+            match plan {
                 ProbePlan::Analytic(outcome) => {
                     metrics.probes += 1;
                     metrics.analytic_probes += 1;
@@ -110,22 +168,24 @@ impl RaceDriver {
                     });
                 }
                 ProbePlan::Sampled(mut plan) => {
-                    let snapshot = plan.snapshot();
-                    if snapshot.uncertain_edge_count() <= config.exact_edge_cap {
-                        // Exactly-enumerable components take the same
-                        // memoized provider path as plain probing (the
-                        // provider's exact branch neither draws samples nor
-                        // advances its RNG call counter, so cache misses
-                        // never perturb later sampled estimates).
-                        let exact = memo.estimate(plan.snapshot());
+                    #[cfg(debug_assertions)]
+                    if is_structural(plan.case()) {
+                        structural_applies += 1;
+                    }
+                    if plan.snapshot().uncertain_edge_count() <= config.exact_edge_cap {
+                        // Structural exact candidates were scored inside
+                        // their planning apply; the rest score here.
+                        let (outcome, replay) = scored.unwrap_or_else(|| {
+                            let exact = memo.estimate(plan.snapshot());
+                            plan.score_keeping(
+                                tree,
+                                graph,
+                                config.include_query,
+                                config.alpha,
+                                exact,
+                            )
+                        });
                         metrics.probes += 1;
-                        let (outcome, replay) = plan.score_keeping(
-                            tree,
-                            graph,
-                            config.include_query,
-                            config.alpha,
-                            exact,
-                        );
                         records.push(ProbeRecord {
                             edge: e,
                             outcome,
@@ -133,34 +193,32 @@ impl RaceDriver {
                         });
                         continue;
                     }
-                    let key = snapshot.fingerprint();
-                    racers.push(Racer { edge: e, plan, key });
+                    let key = plan.snapshot().fingerprint();
+                    let (scored, replay) = match scored {
+                        Some((outcome, replay)) => {
+                            metrics.probes += 1;
+                            (Some((outcome, self.lanes[&key].drawn())), replay)
+                        }
+                        None => (None, None),
+                    };
+                    racers.push(Racer {
+                        edge: e,
+                        plan,
+                        key,
+                        scored,
+                        replay,
+                    });
                 }
             }
-        }
-        if racers.is_empty() {
-            return records;
         }
 
         let external_lower = records
             .iter()
             .map(|r| r.outcome.lower)
             .fold(f64::NEG_INFINITY, f64::max);
-        let mut race = CandidateRace::new(
-            RaceConfig::paper_default(config.samples),
-            racers.len(),
-            external_lower,
-        );
-        let mut outcomes: Vec<Option<ProbeOutcome>> = vec![None; racers.len()];
-        // Redo images captured by each racer's latest actual score. Rounds
-        // that reuse a previous outcome (cached stream already at target)
-        // keep the earlier replay: the lane's estimate is a pure function
-        // of its drawn worlds, so the captured post-images still match what
-        // the final round would produce.
-        let mut replays: Vec<Option<CommitReplay>> = Vec::with_capacity(racers.len());
-        replays.resize_with(racers.len(), || None);
-        let mut scored_at: Vec<u32> = vec![0; racers.len()];
+        let mut race = CandidateRace::new(race_config, racers.len(), external_lower);
         while let Some(round) = race.next_round() {
+            debug_assert!(round.round > 0 || round.target == opening);
             // Check out the round's lanes (creating missing ones on their
             // fingerprint-derived streams) and extend them in one job.
             let mut lane_buf: Vec<IncrementalComponent> =
@@ -199,14 +257,19 @@ impl RaceDriver {
             }
             let mut bounds: Vec<(usize, f64, f64)> = Vec::with_capacity(round.candidates.len());
             for (&i, lane) in round.candidates.iter().zip(&lane_buf) {
+                let racer = &mut racers[i];
                 // Scoring is a pure function of the lane's estimate: a lane
-                // whose cached stream already covered this round's target
-                // keeps its previous bounds for free (the common case for
-                // components unchanged since an earlier iteration).
-                let outcome = match outcomes[i] {
-                    Some(outcome) if scored_at[i] == lane.drawn() => outcome,
+                // whose worlds did not grow since the racer's last score
+                // keeps its bounds for free. A warm racer, scored inside its
+                // planning apply, therefore pays no second insertion.
+                let outcome = match racer.scored {
+                    Some((outcome, at)) if at == lane.drawn() => outcome,
                     _ => {
-                        let (outcome, replay) = racers[i].plan.score_keeping(
+                        debug_assert!(
+                            round.round > 0 || racer.scored.is_none(),
+                            "a racer scored in its planning apply is re-scored only once its lane grows"
+                        );
+                        let (outcome, replay) = racer.plan.score_keeping(
                             tree,
                             graph,
                             config.include_query,
@@ -214,9 +277,12 @@ impl RaceDriver {
                             lane.estimate(),
                         );
                         metrics.probes += 1;
-                        scored_at[i] = lane.drawn();
-                        outcomes[i] = Some(outcome);
-                        replays[i] = replay;
+                        #[cfg(debug_assertions)]
+                        if journal && is_structural(outcome.case) {
+                            structural_applies += 1;
+                        }
+                        racer.scored = Some((outcome, lane.drawn()));
+                        racer.replay = replay;
                         outcome
                     }
                 };
@@ -229,11 +295,11 @@ impl RaceDriver {
             metrics.ci_pruned += summary.eliminated as u64;
         }
 
-        for (i, racer) in racers.iter().enumerate() {
+        for (i, racer) in racers.into_iter().enumerate() {
             if race.status(i) != LaneStatus::Finished {
                 continue;
             }
-            let outcome = outcomes[i].expect("finished candidates were scored");
+            let (outcome, _) = racer.scored.expect("finished candidates were scored");
             // Publish the finalist's full-budget estimate so the commit's
             // insert_edge reuses it instead of re-sampling.
             if let Some(lane) = self.lanes.get(&racer.key) {
@@ -242,9 +308,70 @@ impl RaceDriver {
             records.push(ProbeRecord {
                 edge: racer.edge,
                 outcome,
-                replay: replays[i].take(),
+                replay: racer.replay,
             });
         }
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            FTree::debug_structural_insert_count() - inserts_before,
+            structural_applies,
+            "a race inserts once per structural plan and once per journal re-score"
+        );
         records
+    }
+}
+
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use super::*;
+    use crate::estimator::{EstimatorConfig, SamplingProvider};
+    use crate::ftree::InsertCase;
+    use flowmax_graph::VertexId;
+
+    /// Once a structural racer's lane is warm, its whole race costs one
+    /// insertion — the planning apply, which also scores it — and that
+    /// score is bit-identical to the cold race's final one (same lane,
+    /// same worlds).
+    #[test]
+    fn a_warm_structural_racer_costs_one_insertion() {
+        let g = crate::ftree::goldens::figure3_graph();
+        let config = GreedyConfig::ft(1, 5).with_memo().with_ci().with_threads(1);
+        let estimator = EstimatorConfig {
+            exact_edge_cap: 0,
+            samples: config.samples,
+        };
+        let inner = SamplingProvider::with_threads(estimator, config.seed, 1);
+        let mut memo = MemoProvider::new(inner, true);
+        let mut tree = FTree::new(&g, VertexId(0));
+        for e in 0..19 {
+            tree.insert_edge(&g, EdgeId(e), &mut memo).unwrap();
+        }
+        tree.enable_flow_cache();
+        let base = tree.flow_cached_total(&g, false);
+        let mut driver = RaceDriver::new(&config);
+        let mut metrics = SelectionMetrics::default();
+        // Fig. 4's 14-15 splits a mono component; 11-15 crosses components.
+        for (e, case) in [
+            (EdgeId(21), InsertCase::CycleInMono),
+            (EdgeId(22), InsertCase::CycleAcross),
+        ] {
+            let mut race = |tree: &mut FTree| {
+                let before = FTree::debug_structural_insert_count();
+                let records =
+                    driver.probe_candidates(&g, tree, &[e], base, &config, &mut memo, &mut metrics);
+                assert_eq!(records.len(), 1, "a lone racer finishes");
+                let outcome = records[0].outcome;
+                assert_eq!(outcome.case, case);
+                (FTree::debug_structural_insert_count() - before, outcome)
+            };
+            let (cold, first) = race(&mut tree);
+            let (warm, second) = race(&mut tree);
+            assert!(cold > 1, "a cold racer plans, then scores per round");
+            assert_eq!(warm, 1, "a warm racer is planned and scored by one apply");
+            assert_eq!(first.flow.to_bits(), second.flow.to_bits());
+            assert_eq!(first.lower.to_bits(), second.lower.to_bits());
+            assert_eq!(first.upper.to_bits(), second.upper.to_bits());
+        }
+        assert_eq!(metrics.memo_hits, 2, "each warm race counts one memo hit");
     }
 }
