@@ -68,11 +68,12 @@ pub trait EstimateProvider {
 /// bit-parallel Monte-Carlo sampling otherwise, with full metrics
 /// accounting.
 ///
-/// Each `estimate` call derives an independent seed-sequence child from the
-/// provider's master seed and a call counter, then hands the batched
-/// [`ParallelEstimator`] engine the component. Results are therefore a pure
-/// function of `(seed, call index)` — identical for every worker-thread
-/// count.
+/// Each `estimate` call that samples claims the next call index and derives
+/// an independent seed-sequence child from the provider's master seed and
+/// that index, then hands the batched [`ParallelEstimator`] engine the
+/// component. Results are therefore a pure function of `(seed, call
+/// index)` — identical for every worker-thread count. Exactly enumerated
+/// components claim no index.
 #[derive(Debug)]
 pub struct SamplingProvider {
     config: EstimatorConfig,
@@ -133,24 +134,48 @@ impl SamplingProvider {
     pub fn set_samples(&mut self, samples: u32) {
         self.config.samples = samples;
     }
-}
 
-impl EstimateProvider for SamplingProvider {
-    fn estimate(&mut self, snapshot: &ComponentGraph) -> ComponentEstimate {
+    /// Claims the call index an [`estimate`](EstimateProvider::estimate)
+    /// of `snapshot` would sample at, or `None` when the component is
+    /// exactly enumerable (enumeration draws nothing). Estimating later at
+    /// the claim ([`SamplingProvider::estimate_at`]) gives the same bits as
+    /// estimating now.
+    pub(crate) fn claim(&mut self, snapshot: &ComponentGraph) -> Option<u64> {
         if snapshot.uncertain_edge_count() <= self.config.exact_edge_cap {
-            if let Some(exact) = snapshot.exact_reachability(self.config.exact_edge_cap) {
-                self.metrics.components_enumerated += 1;
-                return exact;
-            }
+            return None;
         }
+        self.calls += 1;
+        Some(self.calls - 1)
+    }
+
+    /// Estimates `snapshot` at a [`claim`](SamplingProvider::claim): exact
+    /// enumeration for `None`, otherwise sampling on the claimed call
+    /// index's seed stream.
+    pub(crate) fn estimate_at(
+        &mut self,
+        snapshot: &ComponentGraph,
+        claim: Option<u64>,
+    ) -> ComponentEstimate {
+        let Some(call) = claim else {
+            self.metrics.components_enumerated += 1;
+            return snapshot
+                .exact_reachability(self.config.exact_edge_cap)
+                .expect("unclaimed components are exactly enumerable");
+        };
         self.metrics.components_sampled += 1;
         self.metrics.samples_drawn += self.config.samples as u64;
         self.metrics.edge_samples_drawn +=
             self.config.samples as u64 * snapshot.edge_count() as u64;
-        let call_seq = SeedSequence::new(self.seq.child_seed(self.calls));
-        self.calls += 1;
+        let call_seq = SeedSequence::new(self.seq.child_seed(call));
         self.engine
             .sample_component(snapshot, self.config.samples, &call_seq)
+    }
+}
+
+impl EstimateProvider for SamplingProvider {
+    fn estimate(&mut self, snapshot: &ComponentGraph) -> ComponentEstimate {
+        let claim = self.claim(snapshot);
+        self.estimate_at(snapshot, claim)
     }
 }
 

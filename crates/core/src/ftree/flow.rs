@@ -24,20 +24,27 @@
 //!   *shared* tree through the undo journal ([`FTree::apply`]), evaluates,
 //!   and rolls back bit-identically ([`FTree::rollback`]) — `O(touched
 //!   components)` per probe instead of the historical whole-tree clone.
-//!   One helper runs that apply for every caller: it offers the formed
-//!   component's snapshot to whoever may already hold its estimate (a
-//!   provider, a warm race lane, a supplied score-time estimate) and scores
-//!   inside the same apply when one answers, so a probe whose estimate is
-//!   at hand pays exactly one insertion. The clone-based path survives only
-//!   as the pinned reference ([`FTree::probe_plan_cloning`]) that
-//!   benchmarks and equivalence tests compare against.
+//!   One helper runs that apply for every caller. Before the apply builds
+//!   the formed component, it offers the component's fingerprint, AV and
+//!   edge sequence to whoever may already hold it ready-made (a warm race
+//!   lane, or the plan being re-scored), and takes that snapshot, vertex
+//!   map and estimate instead of building; otherwise it builds and offers
+//!   the new snapshot for an estimate (a provider, the exact memo). Either
+//!   way it scores inside the same apply when an estimate is at hand, so
+//!   such a probe pays exactly one insertion, and a warm one builds
+//!   nothing. The clone-based path survives only as the pinned reference
+//!   ([`FTree::probe_plan_cloning`]) that benchmarks and equivalence tests
+//!   compare against.
 
 use std::sync::Arc;
 
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
-use flowmax_sampling::{ComponentEstimate, ComponentGraph};
+use flowmax_sampling::{ComponentEstimate, ComponentGraph, LocalIdScratch};
 
-use super::{CommitReplay, ComponentId, FTree, InsertCase, Journal, Kind};
+use super::{
+    CommitReplay, ComponentId, ComponentSource, Estimated, FTree, Formed, InsertCase, Journal,
+    Kind, LocalMap,
+};
 use crate::error::CoreError;
 use crate::estimator::EstimateProvider;
 
@@ -362,8 +369,9 @@ pub enum ProbePlan {
 /// and how to turn an estimate into a flow score.
 ///
 /// Journal-based structural plans hold only the candidate edge and a share
-/// of the formed component's snapshot — scoring re-applies the edge to the
-/// shared tree via the undo journal and rolls back. The plan is therefore
+/// of the formed component's snapshot and vertex map — scoring re-applies
+/// the edge to the shared tree via the undo journal, serving it that
+/// snapshot instead of building one, and rolls back. The plan is therefore
 /// only valid while the tree it was created from is unchanged (the
 /// invariant every selection iteration already maintains).
 #[derive(Debug)]
@@ -380,7 +388,12 @@ enum SampledKind {
     InBi { cid: ComponentId },
     /// Cases IIIb/IV, journal-based (the default): scoring applies the
     /// candidate to the shared tree, evaluates, and rolls back — no clone.
-    Structural { edge: EdgeId, case: InsertCase },
+    /// The re-apply is served the plan's own snapshot and vertex map.
+    Structural {
+        edge: EdgeId,
+        case: InsertCase,
+        local: Arc<LocalMap>,
+    },
     /// Cases IIIb/IV, the pinned clone-based reference: the probe's tree
     /// clone with the candidate inserted and the estimate still pending.
     /// Kept selectable so benchmarks and tests can compare engines (boxed:
@@ -397,6 +410,21 @@ impl SampledProbe {
     /// included).
     pub fn snapshot(&self) -> &ComponentGraph {
         &self.snapshot
+    }
+
+    /// The shared handle of [`snapshot`](Self::snapshot): a race lane
+    /// created for this plan keeps the same allocation.
+    pub(crate) fn shared_snapshot(&self) -> &Arc<ComponentGraph> {
+        &self.snapshot
+    }
+
+    /// The snapshot's vertex → local-index map: the formed component's own
+    /// for a journal structural plan, built here for the others.
+    pub(crate) fn local_map(&self) -> Arc<LocalMap> {
+        match &self.kind {
+            SampledKind::Structural { local, .. } => Arc::clone(local),
+            _ => Arc::new(LocalMap::from_snapshot(self.snapshot.vertices())),
+        }
     }
 
     /// `cost(e)` of §6.4: the number of edges the estimate must sample.
@@ -479,14 +507,19 @@ impl SampledProbe {
                     None,
                 )
             }
-            SampledKind::Structural { edge, .. } => {
-                // Apply → evaluate → rollback on the shared tree, the
-                // supplied estimate standing in for sampling.
-                let mut supplied = Some(estimate);
+            SampledKind::Structural { edge, local, .. } => {
+                // Apply → evaluate → rollback on the shared tree: the
+                // re-apply forms the plan's component again, so it is served
+                // the plan's snapshot and the supplied estimate.
+                let mut supplied = Supplied {
+                    snapshot: &self.snapshot,
+                    local,
+                    estimate: Some(estimate),
+                };
                 let score = InApplyScore {
                     include_query,
                     alpha,
-                    estimate: &mut |_| supplied.take(),
+                    at_hand: &mut supplied,
                 };
                 let (_, scored) = tree.probe_structural(graph, *edge, Some(score));
                 scored.expect("a supplied estimate is always scored")
@@ -514,43 +547,105 @@ impl SampledProbe {
     }
 }
 
-/// Captures the single component snapshot a structural probe insertion
-/// estimates, returning a placeholder so the estimate can be supplied
-/// later (the clone-based reference engine).
+/// What a structural probe's scorer may already hold for the component
+/// the probe's apply forms.
+pub(crate) trait AtHand {
+    /// The ready-made snapshot, vertex map and estimate of the component
+    /// with articulation vertex `av` and edge sequence `edges`, asked
+    /// before anything is built; `fingerprint` is
+    /// [`ComponentGraph::fingerprint_of`] of the two. A fingerprint match
+    /// alone is not enough: the vertex map and the estimate's indices
+    /// follow the edge order, so the served snapshot must have exactly this
+    /// AV and edge sequence.
+    fn stored(&mut self, fingerprint: u64, av: VertexId, edges: &[EdgeId]) -> Option<Formed>;
+
+    /// An estimate for a snapshot the apply had to build, if one is at
+    /// hand.
+    fn estimate(&mut self, snapshot: &ComponentGraph) -> Option<ComponentEstimate>;
+}
+
+/// A provider estimates every snapshot and stores none.
+impl AtHand for Estimated<'_> {
+    fn stored(&mut self, _: u64, _: VertexId, _: &[EdgeId]) -> Option<Formed> {
+        None
+    }
+
+    fn estimate(&mut self, snapshot: &ComponentGraph) -> Option<ComponentEstimate> {
+        Some(self.0.estimate(snapshot))
+    }
+}
+
+/// A journal structural plan's re-score: the plan's own snapshot and
+/// vertex map at the supplied estimate.
+struct Supplied<'p> {
+    snapshot: &'p Arc<ComponentGraph>,
+    local: &'p Arc<LocalMap>,
+    estimate: Option<ComponentEstimate>,
+}
+
+impl AtHand for Supplied<'_> {
+    fn stored(&mut self, _: u64, av: VertexId, edges: &[EdgeId]) -> Option<Formed> {
+        // On the unchanged tree the re-apply forms exactly the plan's
+        // component; anything else is built afresh.
+        if self.snapshot.articulation() != av || self.snapshot.global_edges() != edges {
+            return None;
+        }
+        Some(Formed {
+            snapshot: Arc::clone(self.snapshot),
+            local: Arc::clone(self.local),
+            estimate: self.estimate.take()?,
+        })
+    }
+
+    fn estimate(&mut self, _: &ComponentGraph) -> Option<ComponentEstimate> {
+        self.estimate.take()
+    }
+}
+
+/// The component source of a structural probe's apply: the scorer's
+/// ready-made component when it has one, otherwise a freshly built
+/// snapshot with a placeholder estimate (the probe estimates it after the
+/// apply, or not at all).
 #[derive(Default)]
-struct CaptureProvider {
-    snapshot: Option<ComponentGraph>,
+struct ProbeSource<'s> {
+    at_hand: Option<&'s mut dyn AtHand>,
+    /// Whether the scorer served the component (its estimate is final).
+    served: bool,
 }
 
-impl EstimateProvider for CaptureProvider {
-    fn estimate(&mut self, snapshot: &ComponentGraph) -> ComponentEstimate {
-        assert!(
-            self.snapshot.is_none(),
-            "a structural probe estimates exactly one component"
-        );
-        self.snapshot = Some(snapshot.clone());
-        ComponentEstimate::placeholder(snapshot.vertex_count())
+impl ComponentSource for ProbeSource<'_> {
+    fn form(
+        &mut self,
+        graph: &ProbabilisticGraph,
+        av: VertexId,
+        edges: &[EdgeId],
+        scratch: &mut LocalIdScratch,
+    ) -> Formed {
+        if let Some(at_hand) = self.at_hand.as_deref_mut() {
+            let fingerprint = ComponentGraph::fingerprint_of(av, edges);
+            if let Some(formed) = at_hand.stored(fingerprint, av, edges) {
+                debug_assert!(
+                    formed.snapshot.articulation() == av && formed.snapshot.global_edges() == edges,
+                    "a stored component is served only for its exact AV and edge sequence"
+                );
+                self.served = true;
+                return formed;
+            }
+        }
+        Formed::build(graph, av, edges, scratch, |s| {
+            ComponentEstimate::placeholder(s.vertex_count())
+        })
     }
 }
 
-/// Defers estimation without copying the snapshot: the journalled
-/// structural probe reads the applied component's own snapshot afterwards,
-/// so nothing needs capturing.
-struct PlaceholderProvider;
-
-impl EstimateProvider for PlaceholderProvider {
-    fn estimate(&mut self, snapshot: &ComponentGraph) -> ComponentEstimate {
-        ComponentEstimate::placeholder(snapshot.vertex_count())
-    }
-}
-
-/// Scoring inside a structural probe's own apply: `estimate` is offered
-/// the formed component's snapshot and, when it answers, the candidate is
-/// scored before the rollback instead of by a second apply.
+/// Scoring inside a structural probe's own apply: `at_hand` is offered the
+/// formed component before it is built, then its built snapshot, and when
+/// either answers the candidate is scored before the rollback instead of
+/// by a second apply.
 pub(crate) struct InApplyScore<'a> {
     pub(crate) include_query: bool,
     pub(crate) alpha: f64,
-    pub(crate) estimate: &'a mut dyn FnMut(&ComponentGraph) -> Option<ComponentEstimate>,
+    pub(crate) at_hand: &'a mut dyn AtHand,
 }
 
 /// How [`FTree::probe_plan_with`] answers a structural candidate.
@@ -1029,11 +1124,11 @@ impl FTree {
         alpha: f64,
         provider: &mut dyn EstimateProvider,
     ) -> Result<Scored, CoreError> {
-        let mut estimate = |snapshot: &ComponentGraph| Some(provider.estimate(snapshot));
+        let mut at_hand = Estimated(provider);
         let score = InApplyScore {
             include_query,
             alpha,
-            estimate: &mut estimate,
+            at_hand: &mut at_hand,
         };
         let (plan, scored) =
             self.probe_plan_with(graph, e, base_flow, PlanMode::Journal(Some(score)))?;
@@ -1043,7 +1138,7 @@ impl FTree {
         match plan {
             ProbePlan::Analytic(outcome) => Ok((outcome, None)),
             ProbePlan::Sampled(mut sampled) => {
-                let estimate = provider.estimate(sampled.snapshot());
+                let estimate = at_hand.0.estimate(sampled.snapshot());
                 Ok(sampled.score_keeping(self, graph, include_query, alpha, estimate))
             }
         }
@@ -1154,9 +1249,8 @@ impl FTree {
                 let mut probe_edges = edges.to_vec();
                 probe_edges.push(e);
                 let av = self.comp(cid).articulation;
-                let mut scratch = std::mem::take(&mut self.local_scratch);
-                let snapshot = ComponentGraph::build_with(graph, av, &probe_edges, &mut scratch);
-                self.local_scratch = scratch;
+                let snapshot =
+                    FTree::build_snapshot(graph, av, &probe_edges, &mut self.local_scratch);
                 let plan = SampledProbe {
                     snapshot: Arc::new(snapshot),
                     cost_edges: probe_edges.len(),
@@ -1168,18 +1262,17 @@ impl FTree {
                 PlanMode::Cloning => {
                     // Pinned reference: clone and insert now, estimate later.
                     let mut clone = self.clone();
-                    let mut capture = CaptureProvider::default();
                     let report = clone
-                        .insert_edge(graph, e, &mut capture)
+                        .insert_edge_from(graph, e, &mut ProbeSource::default())
                         .expect("probe preconditions were just checked");
                     let cid = report
                         .component
                         .expect("cycle insertions always produce a bi component");
-                    let snapshot = capture
-                        .snapshot
-                        .expect("cycle insertions estimate their new component");
+                    let Kind::Bi { snapshot, .. } = &clone.comp(cid).kind else {
+                        unreachable!("cycle insertions always produce a bi component")
+                    };
                     let plan = SampledProbe {
-                        snapshot: Arc::new(snapshot),
+                        snapshot: Arc::clone(snapshot),
                         cost_edges: report.sampled_edge_count,
                         kind: SampledKind::StructuralCloned {
                             tree: Box::new(clone),
@@ -1198,28 +1291,38 @@ impl FTree {
     }
 
     /// The one journalled structural probe (cases IIIb/IV) behind every
-    /// journal-engine entry point: applies `e` to the shared tree with the
-    /// formed component's estimate deferred, offers that component's
-    /// snapshot to `score` and — when it answers — sets the estimate and
-    /// scores the candidate while the insertion is still in place. The
-    /// rollback then restores the tree bit-identically, capturing the redo
-    /// images when a score was taken with the flow cache enabled.
+    /// journal-engine entry point: applies `e` to the shared tree, taking
+    /// the formed component ready-made from `score` when it holds one and
+    /// otherwise building it with the estimate deferred and offering the
+    /// new snapshot to `score`. When an estimate is at hand, the candidate
+    /// is scored while the insertion is still in place. The rollback then
+    /// restores the tree bit-identically, capturing the redo images when a
+    /// score was taken with the flow cache enabled.
     ///
-    /// Always returns the plan (it shares the applied snapshot — no copy),
-    /// so a later [`SampledProbe::score`] can re-score at a new estimate.
+    /// Always returns the plan (it shares the applied snapshot and vertex
+    /// map — no copy), so a later [`SampledProbe::score`] can re-score at a
+    /// new estimate.
     fn probe_structural(
         &mut self,
         graph: &ProbabilisticGraph,
         e: EdgeId,
-        score: Option<InApplyScore<'_>>,
+        mut score: Option<InApplyScore<'_>>,
     ) -> (SampledProbe, Option<Scored>) {
+        let mut source = ProbeSource {
+            at_hand: score.as_mut().map(|s| &mut *s.at_hand as &mut dyn AtHand),
+            served: false,
+        };
         let (report, journal) = self
-            .apply(graph, e, &mut PlaceholderProvider)
+            .apply_from(graph, e, &mut source)
             .expect("probe preconditions were just checked");
+        let served = source.served;
         let cid = report
             .component
             .expect("cycle insertions always produce a bi component");
-        let Kind::Bi { snapshot, .. } = &self.comp(cid).kind else {
+        let Kind::Bi {
+            snapshot, local, ..
+        } = &self.comp(cid).kind
+        else {
             unreachable!("cycle insertions always produce a bi component")
         };
         let plan = SampledProbe {
@@ -1228,22 +1331,25 @@ impl FTree {
             kind: SampledKind::Structural {
                 edge: e,
                 case: report.case,
+                local: Arc::clone(local),
             },
         };
         let Some(InApplyScore {
             include_query,
             alpha,
-            estimate,
+            at_hand,
         }) = score
         else {
             self.rollback(journal);
             return (plan, None);
         };
-        let Some(estimate) = estimate(&plan.snapshot) else {
-            self.rollback(journal);
-            return (plan, None);
-        };
-        self.set_bi_estimate(cid, estimate);
+        if !served {
+            let Some(estimate) = at_hand.estimate(&plan.snapshot) else {
+                self.rollback(journal);
+                return (plan, None);
+            };
+            self.set_bi_estimate(cid, estimate);
+        }
         let (flow, lower, upper) = if self.flow_cache_enabled() {
             self.flow_with_bounds_cached(graph, include_query, cid, alpha, &journal)
         } else {

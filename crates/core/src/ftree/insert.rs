@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
-use flowmax_sampling::ComponentGraph;
+use flowmax_sampling::{ComponentEstimate, ComponentGraph, LocalIdScratch};
 
 use super::{Component, ComponentId, FTree, Kind, LocalMap, MonoMember};
 use crate::error::CoreError;
@@ -52,6 +52,64 @@ pub struct InsertReport {
     pub sampled_edge_count: usize,
 }
 
+/// A bi component's snapshot, vertex map and estimate, as an insertion
+/// stores them.
+pub(crate) struct Formed {
+    pub(crate) snapshot: Arc<ComponentGraph>,
+    pub(crate) local: Arc<LocalMap>,
+    pub(crate) estimate: ComponentEstimate,
+}
+
+impl Formed {
+    /// Builds the snapshot of `(av, edges)` and its vertex map, and
+    /// estimates it with `estimate`.
+    pub(crate) fn build(
+        graph: &ProbabilisticGraph,
+        av: VertexId,
+        edges: &[EdgeId],
+        scratch: &mut LocalIdScratch,
+        estimate: impl FnOnce(&ComponentGraph) -> ComponentEstimate,
+    ) -> Formed {
+        let snapshot = FTree::build_snapshot(graph, av, edges, scratch);
+        let estimate = estimate(&snapshot);
+        let local = LocalMap::from_snapshot(snapshot.vertices());
+        Formed {
+            snapshot: Arc::new(snapshot),
+            local: Arc::new(local),
+            estimate,
+        }
+    }
+}
+
+/// Where an insertion gets the bi component it forms (cases IIIb/IV) or
+/// grows (case IIIa): asked at most once per insertion, with the
+/// component's articulation vertex and edge sequence.
+pub(crate) trait ComponentSource {
+    fn form(
+        &mut self,
+        graph: &ProbabilisticGraph,
+        av: VertexId,
+        edges: &[EdgeId],
+        scratch: &mut LocalIdScratch,
+    ) -> Formed;
+}
+
+/// The source behind [`FTree::insert_edge`]: build the snapshot, let the
+/// provider estimate it.
+pub(crate) struct Estimated<'p>(pub(crate) &'p mut dyn EstimateProvider);
+
+impl ComponentSource for Estimated<'_> {
+    fn form(
+        &mut self,
+        graph: &ProbabilisticGraph,
+        av: VertexId,
+        edges: &[EdgeId],
+        scratch: &mut LocalIdScratch,
+    ) -> Formed {
+        Formed::build(graph, av, edges, scratch, |s| self.0.estimate(s))
+    }
+}
+
 impl FTree {
     /// Inserts a selected edge, updating the component structure
     /// (§5.4 cases II–IV). `provider` supplies reachability estimates for
@@ -67,6 +125,17 @@ impl FTree {
         graph: &ProbabilisticGraph,
         e: EdgeId,
         provider: &mut dyn EstimateProvider,
+    ) -> Result<InsertReport, CoreError> {
+        self.insert_edge_from(graph, e, &mut Estimated(provider))
+    }
+
+    /// [`FTree::insert_edge`] with the formed or grown bi component taken
+    /// from `source`.
+    pub(crate) fn insert_edge_from(
+        &mut self,
+        graph: &ProbabilisticGraph,
+        e: EdgeId,
+        source: &mut dyn ComponentSource,
     ) -> Result<InsertReport, CoreError> {
         // A direct insertion bypasses the journal, so an enabled flow cache
         // would silently go stale; incremental commits go through
@@ -94,7 +163,7 @@ impl FTree {
             }
             (true, true) => {
                 self.selected.insert(e);
-                Ok(self.close_cycle(graph, a, b, e, provider))
+                Ok(self.close_cycle(graph, a, b, e, source))
             }
         }
     }
@@ -220,7 +289,7 @@ impl FTree {
         a: VertexId,
         b: VertexId,
         e: EdgeId,
-        provider: &mut dyn EstimateProvider,
+        source: &mut dyn ComponentSource,
     ) -> InsertReport {
         let ca = self.owner(a);
         let cb = self.owner(b);
@@ -233,7 +302,7 @@ impl FTree {
             };
             Arc::make_mut(edges).push(e);
             let n = edges.len();
-            self.refresh_bi(graph, cid, provider);
+            self.refresh_bi(graph, cid, source);
             return InsertReport {
                 case: InsertCase::CycleInBi,
                 component: Some(cid),
@@ -243,9 +312,9 @@ impl FTree {
         if ca.is_some() && ca == cb {
             // Case IIIb: splitTree inside one mono component — handled by
             // the generic builder below (empty chains, mono LCA).
-            return self.build_cycle(graph, a, b, e, provider, InsertCase::CycleInMono);
+            return self.build_cycle(graph, a, b, e, source, InsertCase::CycleInMono);
         }
-        self.build_cycle(graph, a, b, e, provider, InsertCase::CycleAcross)
+        self.build_cycle(graph, a, b, e, source, InsertCase::CycleAcross)
     }
 
     /// Detects Case IIIa: both endpoints lie within one bi component's
@@ -280,7 +349,7 @@ impl FTree {
         a: VertexId,
         b: VertexId,
         e: EdgeId,
-        provider: &mut dyn EstimateProvider,
+        source: &mut dyn ComponentSource,
         case: InsertCase,
     ) -> InsertReport {
         #[cfg(debug_assertions)]
@@ -339,8 +408,7 @@ impl FTree {
         };
 
         let n_edges = edges.len();
-        let bc =
-            self.finish_cycle_component(graph, av, parent, members, edges, inherited, provider);
+        let bc = self.finish_cycle_component(graph, av, parent, members, edges, inherited, source);
         InsertReport {
             case,
             component: Some(bc),
@@ -614,9 +682,9 @@ impl FTree {
         }
     }
 
-    /// Assembles the collected cycle into a new bi-connected component,
-    /// estimates its reachability function, and wires up assignments,
-    /// parent and inherited children.
+    /// Assembles the collected cycle into a new bi-connected component —
+    /// its snapshot, vertex map and estimate come from `source` — and
+    /// wires up assignments, parent and inherited children.
     #[allow(clippy::too_many_arguments)]
     fn finish_cycle_component(
         &mut self,
@@ -626,7 +694,7 @@ impl FTree {
         members: Vec<VertexId>,
         edges: Vec<EdgeId>,
         inherited: Vec<ComponentId>,
-        provider: &mut dyn EstimateProvider,
+        source: &mut dyn ComponentSource,
     ) -> ComponentId {
         debug_assert!(
             !members.contains(&av),
@@ -638,10 +706,12 @@ impl FTree {
             "cycle members must be unique"
         );
         let mut scratch = std::mem::take(&mut self.local_scratch);
-        let snapshot = ComponentGraph::build_with(graph, av, &edges, &mut scratch);
+        let Formed {
+            snapshot,
+            local,
+            estimate,
+        } = source.form(graph, av, &edges, &mut scratch);
         self.local_scratch = scratch;
-        let estimate = provider.estimate(&snapshot);
-        let local = LocalMap::from_snapshot(snapshot.vertices());
         debug_assert_eq!(
             local.len(),
             members.len(),
@@ -654,9 +724,9 @@ impl FTree {
             children: Vec::new(),
             kind: Kind::Bi {
                 edges: Arc::new(edges),
-                snapshot: Arc::new(snapshot),
+                snapshot,
                 estimate: Arc::new(estimate),
-                local: Arc::new(local),
+                local,
                 version,
             },
         });

@@ -30,7 +30,7 @@
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
 use flowmax_sampling::ComponentGraph;
 
-use super::{Component, ComponentId, FTree, InsertReport, Kind};
+use super::{Component, ComponentId, ComponentSource, Estimated, FTree, InsertReport, Kind};
 use crate::error::CoreError;
 use crate::estimator::EstimateProvider;
 
@@ -178,9 +178,20 @@ impl FTree {
         e: EdgeId,
         provider: &mut dyn EstimateProvider,
     ) -> Result<(InsertReport, Journal), CoreError> {
+        self.apply_from(graph, e, &mut Estimated(provider))
+    }
+
+    /// [`FTree::apply`] with the formed or grown bi component taken from
+    /// `source`.
+    pub(crate) fn apply_from(
+        &mut self,
+        graph: &ProbabilisticGraph,
+        e: EdgeId,
+        source: &mut dyn ComponentSource,
+    ) -> Result<(InsertReport, Journal), CoreError> {
         debug_assert!(self.recorder.is_none(), "apply calls must not nest");
         self.recorder = Some(Box::new(Recorder::begin(self)));
-        let result = self.insert_edge(graph, e, provider);
+        let result = self.insert_edge_from(graph, e, source);
         let rec = *self.recorder.take().expect("recorder installed above");
         match result {
             Ok(report) => Ok((

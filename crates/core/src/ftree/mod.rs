@@ -9,7 +9,8 @@
 //!   probabilities (Lemma 2 / Theorem 2) — no sampling;
 //! * **bi-connected components** contain cycles: member reachability toward
 //!   the AV is estimated (Monte-Carlo per Lemma 1, or exactly for small
-//!   components via the pluggable [`EstimateProvider`]).
+//!   components via the pluggable
+//!   [`EstimateProvider`](crate::estimator::EstimateProvider)).
 //!
 //! Components form a forest rooted at `Q`: a component's AV is always owned
 //! by its parent component (or is `Q` itself for roots), so expected flow
@@ -26,8 +27,9 @@ mod insert;
 mod journal;
 mod validate;
 
-pub(crate) use flow::{InApplyScore, PlanMode};
+pub(crate) use flow::{AtHand, InApplyScore, PlanMode};
 pub use flow::{ProbeOutcome, ProbePlan, SampledProbe};
+pub(crate) use insert::{ComponentSource, Estimated, Formed};
 pub use insert::{InsertCase, InsertReport};
 pub(crate) use journal::CommitReplay;
 pub use journal::Journal;
@@ -37,8 +39,6 @@ use std::sync::Arc;
 
 use flowmax_graph::{EdgeId, EdgeSubset, ProbabilisticGraph, VertexId};
 use flowmax_sampling::{ComponentEstimate, ComponentGraph, LocalIdScratch};
-
-use crate::estimator::EstimateProvider;
 
 /// Identifier of a component within an [`FTree`]'s arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -342,6 +342,10 @@ thread_local! {
     /// up here — the incremental loop asserts memoized structural winners
     /// leave this counter untouched across the commit.
     static STRUCTURAL_INSERTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Component snapshots built by this thread's F-trees. A warm
+    /// structural probe is served its lane's snapshot and builds none; the
+    /// race driver asserts builds equal its cold plans.
+    static SNAPSHOT_BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl Clone for FTree {
@@ -446,6 +450,28 @@ impl FTree {
     #[cfg(debug_assertions)]
     pub(crate) fn note_structural_insert() {
         STRUCTURAL_INSERTS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Number of component snapshots this thread's F-trees have built
+    /// (debug builds only): one per cycle insertion whose component was
+    /// not served ready-made, and one per case-IIIa probe plan. The race
+    /// driver asserts a warm structural probe builds none.
+    #[cfg(debug_assertions)]
+    pub fn debug_snapshot_build_count() -> u64 {
+        SNAPSHOT_BUILDS.with(|c| c.get())
+    }
+
+    /// Builds the snapshot of `(av, edges)` — the one place the F-tree
+    /// builds component snapshots, so the debug counter sees every build.
+    pub(crate) fn build_snapshot(
+        graph: &ProbabilisticGraph,
+        av: VertexId,
+        edges: &[EdgeId],
+        scratch: &mut LocalIdScratch,
+    ) -> ComponentGraph {
+        #[cfg(debug_assertions)]
+        SNAPSHOT_BUILDS.with(|c| c.set(c.get() + 1));
+        ComponentGraph::build_with(graph, av, edges, scratch)
     }
 
     /// The query vertex `Q`.
@@ -628,13 +654,13 @@ impl FTree {
         self.owner(v)
     }
 
-    /// Rebuilds a bi component's snapshot/estimate after its edge set
-    /// changed. `provider` supplies the new reachability function.
+    /// Replaces a bi component's snapshot, vertex map and estimate after
+    /// its edge set changed, taking them from `source`.
     pub(crate) fn refresh_bi(
         &mut self,
         graph: &ProbabilisticGraph,
         cid: ComponentId,
-        provider: &mut dyn EstimateProvider,
+        source: &mut dyn ComponentSource,
     ) {
         let version = self.next_version();
         // Detach the snapshot scratch so the component can be borrowed
@@ -652,12 +678,10 @@ impl FTree {
         else {
             panic!("refresh_bi on a mono component");
         };
-        let new_snapshot = ComponentGraph::build_with(graph, av, edges.as_slice(), &mut scratch);
-        let new_estimate = provider.estimate(&new_snapshot);
-        let new_local = LocalMap::from_snapshot(new_snapshot.vertices());
-        *snapshot = Arc::new(new_snapshot);
-        *estimate = Arc::new(new_estimate);
-        *local = Arc::new(new_local);
+        let formed = source.form(graph, av, edges.as_slice(), &mut scratch);
+        *snapshot = formed.snapshot;
+        *estimate = Arc::new(formed.estimate);
+        *local = formed.local;
         *v = version;
         self.local_scratch = scratch;
     }

@@ -8,6 +8,12 @@
 //! cached reachability function is reused and no sampling happens. Staleness
 //! is automatic: any change to the component changes its edge set and
 //! therefore its key.
+//!
+//! The key ignores edge order, but an estimate is indexed by its snapshot's
+//! vertex order, which follows the edge order: serving an entry to a
+//! same-set snapshot with another vertex order would misplace every
+//! vertex's reach. Each entry keeps a hash of its snapshot's vertex order,
+//! and debug builds assert that every hit matches it.
 
 use std::collections::HashMap;
 
@@ -19,12 +25,46 @@ use crate::estimator::{EstimateProvider, EstimatorConfig, SamplingProvider};
 #[derive(Debug)]
 pub struct MemoProvider {
     inner: SamplingProvider,
-    cache: HashMap<u64, ComponentEstimate>,
+    cache: HashMap<u64, Entry>,
     enabled: bool,
     /// Number of cache hits (estimates served without sampling).
     pub hits: u64,
     /// Number of cache misses (estimates computed and stored).
     pub misses: u64,
+}
+
+#[derive(Debug)]
+struct Entry {
+    estimate: ComponentEstimate,
+    /// [`vertex_order`] of the snapshot the estimate was stored for.
+    order: u64,
+}
+
+impl Entry {
+    fn new(snapshot: &ComponentGraph, estimate: ComponentEstimate) -> Self {
+        Entry {
+            estimate,
+            order: vertex_order(snapshot),
+        }
+    }
+
+    /// The stored estimate, for a snapshot whose key matched.
+    fn serve(&self, snapshot: &ComponentGraph) -> &ComponentEstimate {
+        debug_assert_eq!(
+            self.order,
+            vertex_order(snapshot),
+            "a memo hit must index its estimate in the stored vertex order"
+        );
+        &self.estimate
+    }
+}
+
+/// An order-sensitive hash of a snapshot's vertex sequence.
+fn vertex_order(snapshot: &ComponentGraph) -> u64 {
+    snapshot
+        .vertices()
+        .iter()
+        .fold(0, |h, v| splitmix64(h ^ v.0 as u64))
 }
 
 impl MemoProvider {
@@ -85,7 +125,7 @@ impl MemoProvider {
             return;
         }
         let key = self.fingerprint(snapshot);
-        self.cache.insert(key, estimate);
+        self.cache.insert(key, Entry::new(snapshot, estimate));
     }
 
     /// Serves a cached estimate for `snapshot` if one exists, counting a
@@ -101,12 +141,10 @@ impl MemoProvider {
             return None;
         }
         let key = self.fingerprint(snapshot);
-        if self.cache.contains_key(&key) {
-            self.hits += 1;
-            self.inner.metrics.memo_hits += 1;
-            return self.cache.get(&key);
-        }
-        None
+        let entry = self.cache.get(&key)?;
+        self.hits += 1;
+        self.inner.metrics.memo_hits += 1;
+        Some(entry.serve(snapshot))
     }
 }
 
@@ -119,11 +157,11 @@ impl EstimateProvider for MemoProvider {
         if let Some(cached) = self.cache.get(&key) {
             self.hits += 1;
             self.inner.metrics.memo_hits += 1;
-            return cached.clone();
+            return cached.serve(snapshot).clone();
         }
         self.misses += 1;
         let est = self.inner.estimate(snapshot);
-        self.cache.insert(key, est.clone());
+        self.cache.insert(key, Entry::new(snapshot, est.clone()));
         est
     }
 }
@@ -225,6 +263,29 @@ mod tests {
         let mut off = MemoProvider::new(inner, false);
         off.store(&s, external);
         assert_eq!(off.cached_components(), 0);
+    }
+
+    /// The same edge set in another order keys the same entry, but its
+    /// vertex order differs; debug builds refuse to serve it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "stored vertex order")]
+    fn a_hit_in_another_vertex_order_is_caught() {
+        let mut b = GraphBuilder::new();
+        b.add_vertices(3, Weight::ONE);
+        let p = Probability::new(0.5).unwrap();
+        let e0 = b.add_edge(VertexId(0), VertexId(1), p).unwrap();
+        let e1 = b.add_edge(VertexId(1), VertexId(2), p).unwrap();
+        let e2 = b.add_edge(VertexId(0), VertexId(2), p).unwrap();
+        let g = b.build();
+        let stored = ComponentGraph::build(&g, VertexId(0), &[e0, e1, e2]);
+        let reordered = ComponentGraph::build(&g, VertexId(0), &[e2, e1, e0]);
+        assert_eq!(stored.fingerprint(), reordered.fingerprint());
+        assert_ne!(stored.vertices(), reordered.vertices());
+        let inner = SamplingProvider::new(EstimatorConfig::monte_carlo(100), 1);
+        let mut memo = MemoProvider::new(inner, true);
+        memo.estimate(&stored);
+        memo.estimate(&reordered);
     }
 
     #[test]

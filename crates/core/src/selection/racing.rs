@@ -17,7 +17,11 @@
 //! — a *warm* lane, the common case once §6.2 memoization has seen the
 //! component — the candidate is scored inside that same planning apply, so
 //! it costs one insertion per iteration; only cold candidates are applied
-//! again after their lanes are extended.
+//! again after their lanes are extended. A warm lane whose snapshot has the
+//! insertion's exact AV and edge sequence also hands the apply its
+//! snapshot, vertex map and estimate before anything is built, so a warm
+//! probe builds no snapshot either. The lanes are the only store: no
+//! snapshot is kept that a lane does not hold.
 //!
 //! # Determinism contract
 //!
@@ -31,16 +35,18 @@
 //! re-sampling (the §6.2 memoization, upgraded to incremental form).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use flowmax_graph::{EdgeId, ProbabilisticGraph};
+use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
 use flowmax_sampling::{
-    CandidateRace, ComponentGraph, IncrementalComponent, LaneStatus, ParallelEstimator, RaceConfig,
-    SeedSequence,
+    CandidateRace, ComponentEstimate, ComponentGraph, IncrementalComponent, LaneStatus,
+    ParallelEstimator, RaceConfig, SeedSequence,
 };
 
 use crate::estimator::EstimateProvider;
 use crate::ftree::{
-    CommitReplay, FTree, InApplyScore, PlanMode, ProbeOutcome, ProbePlan, SampledProbe,
+    AtHand, CommitReplay, FTree, Formed, InApplyScore, LocalMap, PlanMode, ProbeOutcome, ProbePlan,
+    SampledProbe,
 };
 use crate::metrics::SelectionMetrics;
 use crate::selection::greedy::{GreedyConfig, ProbeEngine, ProbeRecord};
@@ -54,10 +60,62 @@ const RACE_STREAM: u64 = 0x7ACE;
 /// estimates, keyed by component fingerprint.
 #[derive(Debug)]
 pub(crate) struct RaceDriver {
-    lanes: HashMap<u64, IncrementalComponent>,
+    lanes: HashMap<u64, Lane>,
     engine: ParallelEstimator,
     seq: SeedSequence,
     memoize: bool,
+}
+
+/// One component's incremental estimate, with the vertex map of its
+/// snapshot so a probe that forms the component again is served both.
+#[derive(Debug)]
+struct Lane {
+    component: IncrementalComponent,
+    local: Arc<LocalMap>,
+}
+
+/// What a race's planning apply may already hold: the memoized exact
+/// estimate of an exactly enumerable component, or a warm lane.
+struct WarmLanes<'r> {
+    lanes: &'r HashMap<u64, Lane>,
+    /// Round 0's target: a lane holding that many worlds is warm.
+    opening: u32,
+    memo: &'r mut MemoProvider,
+    exact_edge_cap: usize,
+}
+
+impl WarmLanes<'_> {
+    fn warm(&self, fingerprint: u64) -> Option<&Lane> {
+        self.lanes
+            .get(&fingerprint)
+            .filter(|lane| lane.component.drawn() >= self.opening)
+    }
+}
+
+impl AtHand for WarmLanes<'_> {
+    fn stored(&mut self, fingerprint: u64, av: VertexId, edges: &[EdgeId]) -> Option<Formed> {
+        let lane = self.warm(fingerprint)?;
+        let snapshot = lane.component.snapshot();
+        if snapshot.articulation() != av || snapshot.global_edges() != edges {
+            return None;
+        }
+        Some(Formed {
+            snapshot: Arc::clone(snapshot),
+            local: Arc::clone(&lane.local),
+            estimate: lane.component.estimate(),
+        })
+    }
+
+    fn estimate(&mut self, snapshot: &ComponentGraph) -> Option<ComponentEstimate> {
+        // The exact branch neither draws samples nor advances the
+        // provider's call counter (the same memoized path as plain
+        // probing).
+        if snapshot.uncertain_edge_count() <= self.exact_edge_cap {
+            return Some(self.memo.estimate(snapshot));
+        }
+        self.warm(snapshot.fingerprint())
+            .map(|lane| lane.component.estimate())
+    }
 }
 
 struct Racer {
@@ -123,33 +181,32 @@ impl RaceDriver {
         let journal = config.probe_engine == ProbeEngine::Incremental;
         // Every structural plan inserts once (journalled apply, or the
         // reference engine's clone insert); every journal re-score inserts
-        // once more. Nothing else may insert.
+        // once more. Nothing else may insert. Every sampled plan builds
+        // one snapshot unless a warm lane served it; re-scores build none.
         #[cfg(debug_assertions)]
         let inserts_before = FTree::debug_structural_insert_count();
         #[cfg(debug_assertions)]
         let mut structural_applies = 0u64;
+        #[cfg(debug_assertions)]
+        let builds_before = FTree::debug_snapshot_build_count();
+        #[cfg(debug_assertions)]
+        let mut cold_plans = 0u64;
         let mut records: Vec<ProbeRecord> = Vec::with_capacity(pool.len());
         let mut racers: Vec<Racer> = Vec::new();
         for &e in pool {
             // A component's estimate is at hand without sampling when it is
-            // exactly enumerable (the same memoized provider path as plain
-            // probing: the provider's exact branch neither draws samples nor
-            // advances its RNG call counter) or its lane is warm.
-            let lanes = &self.lanes;
-            let mut at_hand = |snapshot: &ComponentGraph| {
-                if snapshot.uncertain_edge_count() <= config.exact_edge_cap {
-                    return Some(memo.estimate(snapshot));
-                }
-                lanes
-                    .get(&snapshot.fingerprint())
-                    .filter(|lane| lane.drawn() >= opening)
-                    .map(IncrementalComponent::estimate)
+            // exactly enumerable or its lane is warm.
+            let mut at_hand = WarmLanes {
+                lanes: &self.lanes,
+                opening,
+                memo,
+                exact_edge_cap: config.exact_edge_cap,
             };
             let mode = if journal {
                 PlanMode::Journal(Some(InApplyScore {
                     include_query: config.include_query,
                     alpha: config.alpha,
-                    estimate: &mut at_hand,
+                    at_hand: &mut at_hand,
                 }))
             } else {
                 PlanMode::Cloning
@@ -169,8 +226,17 @@ impl RaceDriver {
                 }
                 ProbePlan::Sampled(mut plan) => {
                     #[cfg(debug_assertions)]
-                    if is_structural(plan.case()) {
-                        structural_applies += 1;
+                    {
+                        if is_structural(plan.case()) {
+                            structural_applies += 1;
+                        }
+                        // A served plan shares its lane's snapshot.
+                        let key = plan.snapshot().fingerprint();
+                        if !self.lanes.get(&key).is_some_and(|lane| {
+                            Arc::ptr_eq(lane.component.snapshot(), plan.shared_snapshot())
+                        }) {
+                            cold_plans += 1;
+                        }
                     }
                     if plan.snapshot().uncertain_edge_count() <= config.exact_edge_cap {
                         // Structural exact candidates were scored inside
@@ -197,7 +263,7 @@ impl RaceDriver {
                     let (scored, replay) = match scored {
                         Some((outcome, replay)) => {
                             metrics.probes += 1;
-                            (Some((outcome, self.lanes[&key].drawn())), replay)
+                            (Some((outcome, self.lanes[&key].component.drawn())), replay)
                         }
                         None => (None, None),
                     };
@@ -223,15 +289,20 @@ impl RaceDriver {
             // fingerprint-derived streams) and extend them in one job.
             let mut lane_buf: Vec<IncrementalComponent> =
                 Vec::with_capacity(round.candidates.len());
+            let mut local_buf: Vec<Arc<LocalMap>> = Vec::with_capacity(round.candidates.len());
             let mut targets: Vec<u32> = Vec::with_capacity(round.candidates.len());
             let mut before: Vec<u32> = Vec::with_capacity(round.candidates.len());
             for &i in &round.candidates {
                 let racer = &racers[i];
-                let lane = self.lanes.remove(&racer.key).unwrap_or_else(|| {
-                    IncrementalComponent::new(
-                        racer.plan.snapshot().clone(),
+                let Lane {
+                    component: lane,
+                    local,
+                } = self.lanes.remove(&racer.key).unwrap_or_else(|| Lane {
+                    component: IncrementalComponent::new(
+                        Arc::clone(racer.plan.shared_snapshot()),
                         SeedSequence::new(self.seq.child_seed(racer.key)),
-                    )
+                    ),
+                    local: racer.plan.local_map(),
                 });
                 if self.memoize && round.round == 0 && lane.drawn() >= round.target {
                     // A cached stream from an earlier iteration already
@@ -242,6 +313,7 @@ impl RaceDriver {
                 before.push(lane.drawn());
                 targets.push(round.target);
                 lane_buf.push(lane);
+                local_buf.push(local);
             }
             let new_worlds = self.engine.extend_components(&mut lane_buf, &targets);
             if new_worlds > 0 {
@@ -288,8 +360,10 @@ impl RaceDriver {
                 };
                 bounds.push((i, outcome.lower, outcome.upper));
             }
-            for (lane, &i) in lane_buf.into_iter().zip(&round.candidates) {
-                self.lanes.insert(racers[i].key, lane);
+            for ((component, local), &i) in
+                lane_buf.into_iter().zip(local_buf).zip(&round.candidates)
+            {
+                self.lanes.insert(racers[i].key, Lane { component, local });
             }
             let summary = race.complete_round(&bounds);
             metrics.ci_pruned += summary.eliminated as u64;
@@ -303,7 +377,7 @@ impl RaceDriver {
             // Publish the finalist's full-budget estimate so the commit's
             // insert_edge reuses it instead of re-sampling.
             if let Some(lane) = self.lanes.get(&racer.key) {
-                memo.store(racer.plan.snapshot(), lane.estimate());
+                memo.store(racer.plan.snapshot(), lane.component.estimate());
             }
             records.push(ProbeRecord {
                 edge: racer.edge,
@@ -312,26 +386,76 @@ impl RaceDriver {
             });
         }
         #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            FTree::debug_structural_insert_count() - inserts_before,
-            structural_applies,
-            "a race inserts once per structural plan and once per journal re-score"
-        );
+        {
+            debug_assert_eq!(
+                FTree::debug_structural_insert_count() - inserts_before,
+                structural_applies,
+                "a race inserts once per structural plan and once per journal re-score"
+            );
+            debug_assert_eq!(
+                FTree::debug_snapshot_build_count() - builds_before,
+                cold_plans,
+                "a race builds one snapshot per cold structural plan and per IIIa plan"
+            );
+        }
         records
     }
 }
 
-#[cfg(all(test, debug_assertions))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::estimator::{EstimatorConfig, SamplingProvider};
+    #[cfg(debug_assertions)]
     use crate::ftree::InsertCase;
     use flowmax_graph::VertexId;
+
+    /// A warm lane serves its snapshot only to an insertion with exactly
+    /// its AV and edge sequence: the same edge set in another order has the
+    /// same fingerprint, but its vertex order — which indexes the vertex
+    /// map and the estimate — may differ, so it is built afresh.
+    #[test]
+    fn a_reordered_edge_sequence_is_never_served_a_lane() {
+        let g = crate::ftree::goldens::figure3_graph();
+        let av = VertexId(0);
+        let edges = [EdgeId(0), EdgeId(1), EdgeId(2)];
+        let snapshot = Arc::new(ComponentGraph::build(&g, av, &edges));
+        let key = snapshot.fingerprint();
+        let opening = RaceConfig::paper_default(1000).ladder()[0];
+        let mut component = IncrementalComponent::new(Arc::clone(&snapshot), SeedSequence::new(1));
+        ParallelEstimator::new(1)
+            .extend_components(std::slice::from_mut(&mut component), &[opening]);
+        let local = Arc::new(LocalMap::from_snapshot(snapshot.vertices()));
+        let lanes = HashMap::from([(key, Lane { component, local })]);
+        let inner = SamplingProvider::with_threads(EstimatorConfig::monte_carlo(1000), 1, 1);
+        let mut memo = MemoProvider::new(inner, true);
+        let mut at_hand = WarmLanes {
+            lanes: &lanes,
+            opening,
+            memo: &mut memo,
+            exact_edge_cap: 0,
+        };
+        let served = at_hand
+            .stored(key, av, &edges)
+            .expect("exact sequence hits");
+        assert!(Arc::ptr_eq(&served.snapshot, &snapshot));
+        assert!(Arc::ptr_eq(&served.local, &lanes[&key].local));
+        for reordered in [
+            [EdgeId(2), EdgeId(1), EdgeId(0)],
+            [EdgeId(1), EdgeId(0), EdgeId(2)],
+        ] {
+            assert_eq!(ComponentGraph::fingerprint_of(av, &reordered), key);
+            assert!(at_hand.stored(key, av, &reordered).is_none());
+        }
+        assert!(at_hand.stored(key, VertexId(1), &edges).is_none());
+        assert!(at_hand.stored(key ^ 1, av, &edges).is_none());
+    }
 
     /// Once a structural racer's lane is warm, its whole race costs one
     /// insertion — the planning apply, which also scores it — and that
     /// score is bit-identical to the cold race's final one (same lane,
     /// same worlds).
+    #[cfg(debug_assertions)]
     #[test]
     fn a_warm_structural_racer_costs_one_insertion() {
         let g = crate::ftree::goldens::figure3_graph();
@@ -357,17 +481,24 @@ mod tests {
         ] {
             let mut race = |tree: &mut FTree| {
                 let before = FTree::debug_structural_insert_count();
+                let builds_before = FTree::debug_snapshot_build_count();
                 let records =
                     driver.probe_candidates(&g, tree, &[e], base, &config, &mut memo, &mut metrics);
                 assert_eq!(records.len(), 1, "a lone racer finishes");
                 let outcome = records[0].outcome;
                 assert_eq!(outcome.case, case);
-                (FTree::debug_structural_insert_count() - before, outcome)
+                (
+                    FTree::debug_structural_insert_count() - before,
+                    FTree::debug_snapshot_build_count() - builds_before,
+                    outcome,
+                )
             };
-            let (cold, first) = race(&mut tree);
-            let (warm, second) = race(&mut tree);
+            let (cold, cold_builds, first) = race(&mut tree);
+            let (warm, warm_builds, second) = race(&mut tree);
             assert!(cold > 1, "a cold racer plans, then scores per round");
+            assert_eq!(cold_builds, 1, "re-scores reuse the plan's snapshot");
             assert_eq!(warm, 1, "a warm racer is planned and scored by one apply");
+            assert_eq!(warm_builds, 0, "a warm racer is served its lane's snapshot");
             assert_eq!(first.flow.to_bits(), second.flow.to_bits());
             assert_eq!(first.lower.to_bits(), second.lower.to_bits());
             assert_eq!(first.upper.to_bits(), second.upper.to_bits());

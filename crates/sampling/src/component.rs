@@ -134,14 +134,12 @@ impl ComponentGraph {
         scratch.local_of(articulation, &mut vertices);
         let mut local_endpoints = Vec::with_capacity(edges.len());
         let mut edge_probs = Vec::with_capacity(edges.len());
-        let mut fingerprint = splitmix64(articulation.0 as u64);
         for &e in edges {
             let (a, b) = graph.endpoints(e);
             let la = scratch.local_of(a, &mut vertices);
             let lb = scratch.local_of(b, &mut vertices);
             local_endpoints.push((la, lb));
             edge_probs.push(graph.probability(e).value());
-            fingerprint = fingerprint.wrapping_add(splitmix64(e.0 as u64 ^ FINGERPRINT_EDGE_SALT));
         }
         // Build local CSR.
         let n = vertices.len();
@@ -171,8 +169,20 @@ impl ComponentGraph {
             global_edges: edges.to_vec(),
             adj_offsets,
             adj_entries,
-            fingerprint,
+            fingerprint: Self::fingerprint_of(articulation, edges),
         }
+    }
+
+    /// The [`fingerprint`](ComponentGraph::fingerprint) the snapshot of
+    /// `(articulation, edges)` would have, computed without building it:
+    /// callers that may already hold that snapshot look it up by this key
+    /// first and build only on a miss.
+    pub fn fingerprint_of(articulation: VertexId, edges: &[EdgeId]) -> u64 {
+        edges
+            .iter()
+            .fold(splitmix64(articulation.0 as u64), |h, e| {
+                h.wrapping_add(splitmix64(e.0 as u64 ^ FINGERPRINT_EDGE_SALT))
+            })
     }
 
     /// Number of vertices (including the articulation vertex).
@@ -211,8 +221,8 @@ impl ComponentGraph {
     /// racing engine's per-component seed streams.
     ///
     /// The hash is a commutative running sum (`splitmix64(AV)` plus one
-    /// salted `splitmix64` term per edge) accumulated during
-    /// [`ComponentGraph::build_with`], so reading it here is O(1) — no
+    /// salted `splitmix64` term per edge), fixed at build time by
+    /// [`ComponentGraph::fingerprint_of`], so reading it here is O(1) — no
     /// per-call sort of the edge set. Order independence comes from the
     /// commutativity of the per-edge terms instead.
     pub fn fingerprint(&self) -> u64 {

@@ -7,6 +7,8 @@
 //! and additionally offer the Wilson score interval, which remains sane at
 //! `p̂ ∈ {0, 1}` where the Wald width collapses to zero.
 
+use std::cell::Cell;
+
 /// The paper applies CLT-based pruning only once at least this many samples
 /// were drawn (§6.3, last sentence).
 pub const MIN_SAMPLES_FOR_CLT: u32 = 30;
@@ -97,12 +99,29 @@ pub fn normal_quantile(p: f64) -> f64 {
 
 /// The `z` value of Def. 10: the `100·(1 − α/2)` percentile of the standard
 /// normal distribution.
+///
+/// Flow scoring asks for the same `α` once per vertex of every component
+/// it scores, so each thread keeps the last `(α, z)` pair and recomputes
+/// only when `α` changes; the quantile is a pure function of `α`, so the
+/// cached value is bit-identical to a fresh one.
 pub fn z_for_alpha(alpha: f64) -> f64 {
     assert!(
         alpha > 0.0 && alpha < 1.0,
         "alpha must be in (0,1), got {alpha}"
     );
-    normal_quantile(1.0 - 0.5 * alpha)
+    thread_local! {
+        /// `(α bits, z)`; the initial α bits (0.0) never pass the assert.
+        static LAST_Z: Cell<(u64, f64)> = const { Cell::new((0, 0.0)) };
+    }
+    LAST_Z.with(|last| {
+        let (bits, z) = last.get();
+        if bits == alpha.to_bits() {
+            return z;
+        }
+        let z = normal_quantile(1.0 - 0.5 * alpha);
+        last.set((alpha.to_bits(), z));
+        z
+    })
 }
 
 /// Wald (CLT) interval of Def. 10 with the corrected `1/√S` factor:
@@ -163,6 +182,16 @@ mod tests {
     fn z_for_default_alpha() {
         // α = 0.01 → 99.5th percentile ≈ 2.5758.
         assert!((z_for_alpha(DEFAULT_ALPHA) - 2.575_829).abs() < 1e-4);
+    }
+
+    #[test]
+    fn cached_z_is_bit_identical_to_the_quantile() {
+        // Repeats hit the per-thread cache, changes miss it; either way the
+        // value is the quantile's, bit for bit.
+        for alpha in [0.01, 0.01, 0.05, 0.01, 0.2, 0.2] {
+            let fresh = normal_quantile(1.0 - 0.5 * alpha);
+            assert_eq!(z_for_alpha(alpha).to_bits(), fresh.to_bits(), "α={alpha}");
+        }
     }
 
     #[test]

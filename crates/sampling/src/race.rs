@@ -32,6 +32,8 @@
 //! [`IncrementalComponent`] keeps its own success counters across rounds,
 //! so a race's steady state draws worlds without per-batch allocation.
 
+use std::sync::Arc;
+
 use crate::batch::LANES;
 use crate::component::{ComponentEstimate, ComponentGraph};
 use crate::confidence::MIN_SAMPLES_FOR_CLT;
@@ -351,9 +353,13 @@ impl CandidateRace {
 /// samples the estimate is bit-identical to a fresh
 /// [`ComponentGraph::sample_reachability_batched`] run at `S` samples with
 /// the same seed sequence (world `i` always draws from `seq.rng(i)`).
+///
+/// The snapshot is shared, not owned: a lane is created from the probe
+/// plan's snapshot and hands the same allocation back to a later probe
+/// that forms the same component.
 #[derive(Debug, Clone)]
 pub struct IncrementalComponent {
-    snapshot: ComponentGraph,
+    snapshot: Arc<ComponentGraph>,
     seq: SeedSequence,
     successes: Vec<u32>,
     drawn: u32,
@@ -362,7 +368,7 @@ pub struct IncrementalComponent {
 impl IncrementalComponent {
     /// Wraps a component snapshot with its dedicated seed stream; no worlds
     /// drawn yet.
-    pub fn new(snapshot: ComponentGraph, seq: SeedSequence) -> Self {
+    pub fn new(snapshot: Arc<ComponentGraph>, seq: SeedSequence) -> Self {
         let n = snapshot.vertex_count();
         IncrementalComponent {
             snapshot,
@@ -373,7 +379,7 @@ impl IncrementalComponent {
     }
 
     /// The wrapped snapshot.
-    pub fn snapshot(&self) -> &ComponentGraph {
+    pub fn snapshot(&self) -> &Arc<ComponentGraph> {
         &self.snapshot
     }
 
@@ -601,7 +607,7 @@ mod tests {
     fn incremental_extension_matches_fresh_full_budget_run() {
         let seq = SeedSequence::new(0xACE);
         let engine = ParallelEstimator::new(1);
-        let mut lanes = vec![IncrementalComponent::new(triangle(), seq)];
+        let mut lanes = vec![IncrementalComponent::new(Arc::new(triangle()), seq)];
         assert_eq!(engine.extend_components(&mut lanes, &[64]), 64);
         assert_eq!(engine.extend_components(&mut lanes, &[64]), 0, "no-op");
         assert_eq!(engine.extend_components(&mut lanes, &[192]), 128);
@@ -617,7 +623,7 @@ mod tests {
             let engine = ParallelEstimator::new(threads);
             let mut lanes: Vec<_> = seqs
                 .iter()
-                .map(|&s| IncrementalComponent::new(triangle(), s))
+                .map(|&s| IncrementalComponent::new(Arc::new(triangle()), s))
                 .collect();
             engine.extend_components(&mut lanes, &[128, 64]);
             engine.extend_components(&mut lanes, &[256, 320]);

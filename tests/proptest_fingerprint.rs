@@ -12,7 +12,8 @@
 //! function of the component (no RNG, no thread state), so equal classes
 //! here imply the memo/seed keys are identical at any `FLOWMAX_THREADS`;
 //! the differential harness separately re-checks the end-to-end traces at
-//! 1 and 8 threads.
+//! 1 and 8 threads. The build-free `ComponentGraph::fingerprint_of` is
+//! pinned to the built snapshots' fingerprint under any edge order.
 
 use std::collections::HashMap;
 
@@ -104,6 +105,32 @@ fn sort_key(snapshot: &ComponentGraph) -> (u32, Vec<EdgeId>) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `ComponentGraph::fingerprint_of` — the key a structural probe looks
+    /// a warm lane up by before it builds anything — equals the built
+    /// snapshot's fingerprint under any order of the edges: a random
+    /// shuffle, and every rotation of it.
+    #[test]
+    fn fingerprint_of_equals_the_built_snapshots(
+        (spec, av, take, shuffle) in (
+            graph_spec(),
+            0usize..64,
+            1usize..16,
+            proptest::collection::vec(0usize..64, 16),
+        )
+    ) {
+        let g = build(&spec);
+        let mut edges: Vec<EdgeId> = g.edge_ids().take(take).collect();
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, shuffle[i] % (i + 1));
+        }
+        let av = VertexId::from_index(av % spec.n);
+        let built = ComponentGraph::build(&g, av, &edges).fingerprint();
+        for _ in 0..edges.len() {
+            prop_assert_eq!(ComponentGraph::fingerprint_of(av, &edges), built);
+            edges.rotate_left(1);
+        }
+    }
 
     /// Corpus property: across every component snapshot produced by random
     /// apply/rollback/commit interleavings, the commutative fingerprint
