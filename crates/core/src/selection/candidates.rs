@@ -186,7 +186,7 @@ impl CandidateSet {
     /// Test-only corruption hook: flips `e`'s bitmap bit without touching
     /// the sorted vector, so the next [`debug_validate`] must fire. Used by
     /// the dirty-state regression test to prove the revalidation is live.
-    #[cfg(test)]
+    #[cfg(all(test, debug_assertions))]
     pub(crate) fn debug_poison(&mut self, e: EdgeId) {
         let (w, m) = Self::bit(e);
         self.bitmap[w] ^= m;

@@ -67,6 +67,8 @@ impl DelayTracker {
     /// Records a probe outcome for a non-selected candidate: `gain` is the
     /// flow gained by the candidate, `best_gain` the gain of the selected
     /// edge, `cost` the number of edges sampled to probe the candidate.
+    /// Under confidence-interval racing, a candidate the race eliminated is
+    /// recorded too, with the gain it had when it was cut.
     ///
     /// Returns the suspension applied — `⌊log_c(cost/pot)⌋` iterations
     /// (capped at `MAX_DELAY`), or 0 when the candidate is not suspended.

@@ -14,7 +14,8 @@
 //!   whole-batch estimates and budget reallocation;
 //! * **DS** — probed-but-not-selected candidates are suspended for
 //!   `⌊log_c(cost/pot)⌋` iterations (§6.4); suspended candidates never
-//!   enter a race round.
+//!   enter a race round. Under CI, the candidates the race eliminated count
+//!   as probed: each is recorded with the score it was cut at.
 
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
 
@@ -152,6 +153,9 @@ pub(crate) struct ProbeRecord {
     /// journal probes only) — the winning record's replay commits the
     /// insertion without re-running it.
     pub(crate) replay: Option<CommitReplay>,
+    /// Eliminated by the §6.3 race: never selected, but its last score
+    /// (`outcome`) still feeds §6.4's delay.
+    pub(crate) eliminated: bool,
 }
 
 /// Runs the greedy selection (§6.1) over `graph` from `query`, streaming
@@ -385,11 +389,11 @@ pub fn greedy_select(
     }
 }
 
-/// Index of the record with maximal flow (ties: lowest edge id, for
-/// deterministic selection).
+/// Index of the non-eliminated record with maximal flow (ties: lowest edge
+/// id, for deterministic selection).
 fn best_record(records: &[ProbeRecord]) -> Option<usize> {
     let mut best: Option<usize> = None;
-    for (i, r) in records.iter().enumerate() {
+    for (i, r) in records.iter().enumerate().filter(|(_, r)| !r.eliminated) {
         match best {
             None => best = Some(i),
             Some(j) => {
@@ -463,6 +467,7 @@ fn probe_all(
             edge: e,
             outcome,
             replay,
+            eliminated: false,
         });
     }
     records
@@ -471,7 +476,7 @@ fn probe_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selection::observer::NoObserver;
+    use crate::selection::observer::{NoObserver, SelectionStep};
     use flowmax_graph::{GraphBuilder, Probability, Weight};
 
     fn p(v: f64) -> Probability {
@@ -573,6 +578,89 @@ mod tests {
         let b = select(&g, &cfg);
         assert_eq!(a.selected, b.selected);
         assert_eq!(a.final_flow, b.final_flow);
+    }
+
+    fn record(edge: u32, flow: f64, eliminated: bool) -> ProbeRecord {
+        ProbeRecord {
+            edge: EdgeId(edge),
+            outcome: ProbeOutcome {
+                flow,
+                lower: flow - 1.0,
+                upper: flow + 1.0,
+                case: InsertCase::CycleInMono,
+                sampling_cost_edges: 3,
+            },
+            replay: None,
+            eliminated,
+        }
+    }
+
+    #[test]
+    fn best_record_never_picks_an_eliminated_record() {
+        // The eliminated record has the highest point flow (and the lowest
+        // edge id on the tie), yet the best survivor wins.
+        let records = [
+            record(4, 9.0, false),
+            record(1, 12.0, true),
+            record(2, 10.0, false),
+            record(0, 10.0, true),
+        ];
+        assert_eq!(best_record(&records), Some(2));
+        assert_eq!(best_record(&records[1..2]), None);
+    }
+
+    /// Q(0)–1–2 and Q–3–4 on reliable edges, plus two weak chords: e4 (Q-2)
+    /// closes a cycle through the heavy vertices 1 and 2, e5 (Q-4) only
+    /// ever attaches vertex 4. Every candidate but e4 is a leaf probe
+    /// (analytic, never suspended). The greedy selects e0, e1, then e2 at
+    /// iteration 2, where e4 — the iteration's only sampled candidate —
+    /// races alone against e2's exact flow and is eliminated.
+    fn elimination_graph() -> ProbabilisticGraph {
+        let mut b = GraphBuilder::new();
+        b.add_vertex(Weight::ZERO); // Q
+        b.add_vertex(Weight::new(100.0).unwrap());
+        b.add_vertex(Weight::new(100.0).unwrap());
+        b.add_vertex(Weight::new(50.0).unwrap());
+        b.add_vertex(Weight::ONE);
+        b.add_edge(VertexId(0), VertexId(1), p(0.9)).unwrap(); // e0
+        b.add_edge(VertexId(1), VertexId(2), p(0.9)).unwrap(); // e1
+        b.add_edge(VertexId(0), VertexId(3), p(0.9)).unwrap(); // e2
+        b.add_edge(VertexId(3), VertexId(4), p(0.9)).unwrap(); // e3
+        b.add_edge(VertexId(0), VertexId(2), p(0.3)).unwrap(); // e4
+        b.add_edge(VertexId(0), VertexId(4), p(0.3)).unwrap(); // e5
+        b.build()
+    }
+
+    fn observed_steps(g: &ProbabilisticGraph, cfg: &GreedyConfig) -> Vec<SelectionStep> {
+        let mut steps = Vec::new();
+        let mut observer = |step: &SelectionStep| steps.push(*step);
+        greedy_select(g, VertexId(0), cfg, &RunControl::unlimited(), &mut observer);
+        steps
+    }
+
+    #[test]
+    fn an_eliminated_racer_is_suspended_in_the_next_pool() {
+        let g = elimination_graph();
+        let cfg = GreedyConfig::ft(4, 3).with_memo().with_ci().with_ds();
+        let steps = observed_steps(&g, &cfg);
+        let picked: Vec<EdgeId> = steps.iter().map(|s| s.edge).collect();
+        assert_eq!(picked[..3], [EdgeId(0), EdgeId(1), EdgeId(2)]);
+        assert_eq!(steps[2].pool, 3, "e2, e4 and e5 are probed");
+        assert_eq!(steps[2].ci_pruned, 1, "the race eliminates e4");
+        // Candidates e3, e4 and e5 remain; e4 sits out the next iteration.
+        assert_eq!(steps[3].ds_skipped, 1);
+        assert_eq!(steps[3].pool, 2);
+    }
+
+    #[test]
+    fn without_ds_an_eliminated_racer_is_probed_again() {
+        let g = elimination_graph();
+        let cfg = GreedyConfig::ft(4, 3).with_memo().with_ci();
+        let steps = observed_steps(&g, &cfg);
+        assert_eq!(steps[2].ci_pruned, 1, "the race eliminates e4");
+        assert_eq!(steps[3].ds_skipped, 0);
+        assert_eq!(steps[3].pool, 3, "e3, e4 and e5 are all probed");
+        assert!(steps.iter().all(|s| s.ds_skipped == 0));
     }
 
     #[test]

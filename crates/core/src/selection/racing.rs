@@ -12,6 +12,12 @@
 //! eliminates dominated candidates (never below the 30-sample CLT floor)
 //! and reallocates their unspent budget to the final round.
 //!
+//! An eliminated candidate leaves the race, not the iteration: its record is
+//! returned with its last score and marked `eliminated`, so the greedy never
+//! selects it but §6.4's delayed sampling suspends it like any other probed,
+//! non-selected candidate. CI and DS therefore compose — the race's worst
+//! candidates are not planned again on the next iteration.
+//!
 //! A structural (case IIIb/IV) plan is a journalled insertion on the shared
 //! tree. When the formed component's lane already covers round 0's target
 //! — a *warm* lane, the common case once §6.2 memoization has seen the
@@ -148,10 +154,11 @@ impl RaceDriver {
         }
     }
 
-    /// Runs one greedy iteration's probes as a race. Returns the analytic
-    /// and exactly-enumerated probes plus every racing candidate that
-    /// survived elimination; eliminated candidates are absent (they cannot
-    /// win and are not recorded for delayed sampling).
+    /// Runs one greedy iteration's probes as a race. Returns one record per
+    /// pool edge: the analytic and exactly-enumerated probes, every racing
+    /// candidate that finished the race, and every eliminated one — marked
+    /// `eliminated`, with the score it was cut at and no redo images. An
+    /// eliminated record cannot win, but delayed sampling records it.
     ///
     /// The tree is borrowed mutably because structural plans score by
     /// journalled apply → evaluate → rollback on it; every score leaves it
@@ -222,6 +229,7 @@ impl RaceDriver {
                         edge: e,
                         outcome,
                         replay: None,
+                        eliminated: false,
                     });
                 }
                 ProbePlan::Sampled(mut plan) => {
@@ -256,6 +264,7 @@ impl RaceDriver {
                             edge: e,
                             outcome,
                             replay,
+                            eliminated: false,
                         });
                         continue;
                     }
@@ -370,19 +379,22 @@ impl RaceDriver {
         }
 
         for (i, racer) in racers.into_iter().enumerate() {
-            if race.status(i) != LaneStatus::Finished {
-                continue;
-            }
-            let (outcome, _) = racer.scored.expect("finished candidates were scored");
-            // Publish the finalist's full-budget estimate so the commit's
-            // insert_edge reuses it instead of re-sampling.
-            if let Some(lane) = self.lanes.get(&racer.key) {
-                memo.store(racer.plan.snapshot(), lane.component.estimate());
+            let (outcome, _) = racer.scored.expect("every racer is scored in round 0");
+            // An eliminated racer cannot win, but its last score still feeds
+            // delayed sampling; its redo images would never be replayed.
+            let eliminated = race.status(i) != LaneStatus::Finished;
+            if !eliminated {
+                // Publish the finalist's full-budget estimate so the
+                // commit's insert_edge reuses it instead of re-sampling.
+                if let Some(lane) = self.lanes.get(&racer.key) {
+                    memo.store(racer.plan.snapshot(), lane.component.estimate());
+                }
             }
             records.push(ProbeRecord {
                 edge: racer.edge,
                 outcome,
-                replay: racer.replay,
+                replay: racer.replay.filter(|_| !eliminated),
+                eliminated,
             });
         }
         #[cfg(debug_assertions)]
