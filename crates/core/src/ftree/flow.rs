@@ -16,7 +16,11 @@
 //! Probing (`probe_edge`) evaluates the flow a candidate insertion *would*
 //! yield, at minimal cost per structural case:
 //!
-//! * **Case II** (leaf): an `O(depth)` analytic delta — no sampling, no copy;
+//! * **Case II** (leaf): an analytic delta `w · p · reach(anchor → Q)` — no
+//!   sampling, no copy. With the flow cache enabled the anchor's reach is
+//!   memoized: each drain restamps the subtrees of the components a commit
+//!   touched, and a memo stored under its owner's current stamp is served
+//!   in `O(1)` instead of walking the anchor's chain to `Q`;
 //! * **Case IIIa** (cycle in a bi component): only that component is
 //!   re-estimated; flow is evaluated with the fresh estimate *overriding* the
 //!   stored one — no tree mutation;
@@ -26,15 +30,17 @@
 //!   components)` per probe instead of the historical whole-tree clone.
 //!   One helper runs that apply for every caller. Before the apply builds
 //!   the formed component, it offers the component's fingerprint, AV and
-//!   edge sequence to whoever may already hold it ready-made (a warm race
-//!   lane, or the plan being re-scored), and takes that snapshot, vertex
-//!   map and estimate instead of building; otherwise it builds and offers
-//!   the new snapshot for an estimate (a provider, the exact memo). Either
-//!   way it scores inside the same apply when an estimate is at hand, so
-//!   such a probe pays exactly one insertion, and a warm one builds
-//!   nothing. The clone-based path survives only as the pinned reference
-//!   ([`FTree::probe_plan_cloning`]) that benchmarks and equivalence tests
-//!   compare against.
+//!   edge sequence to a warm race lane that may already hold it, and takes
+//!   that snapshot, vertex map and estimate instead of building; otherwise
+//!   it builds and offers the new snapshot for an estimate (a provider, the
+//!   exact memo). Either way it scores inside the same apply when an
+//!   estimate is at hand. The rollback captures the applied state's images
+//!   into the plan, so a re-score at a new estimate swaps those images in
+//!   and out again instead of re-running the insertion: a structural probe
+//!   pays exactly one insertion however often it is scored, and a warm one
+//!   builds nothing. The clone-based path survives only as the pinned
+//!   reference ([`FTree::probe_plan_cloning`]) that benchmarks and
+//!   equivalence tests compare against.
 
 use std::sync::Arc;
 
@@ -81,6 +87,18 @@ pub(crate) struct FlowCache {
     overlay: Vec<(f64, f64, f64)>,
     /// Seed-slot scratch reused across evaluations.
     seeds: Vec<u32>,
+    /// Per arena slot: the stamp of the last drain that saw the slot or an
+    /// ancestor change (0: never stamped). A vertex's reach to `Q` depends
+    /// only on its owner and the owner's ancestors, so it is still valid
+    /// while its owner keeps the stamp it was computed under.
+    stamp: Vec<u32>,
+    /// The stamp the latest drain handed out.
+    last_stamp: u32,
+    /// Per vertex, grown up to the largest anchor probed: the
+    /// `reach_to_query` a leaf probe computed, and its owner's stamp at the
+    /// time (two vectors keep an entry at 12 bytes).
+    reach_stamp: Vec<u32>,
+    reach: Vec<f64>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -158,6 +176,39 @@ fn mark_touched(tree: &FTree, cache: &mut FlowCache, seeds: &[u32]) {
             up = tree.comp(p).parent;
         }
     }
+}
+
+/// Gives every live seed's subtree a fresh stamp, invalidating the memoized
+/// reach of each vertex those components own. Every change to a component
+/// goes through `comp_mut`, `alloc` or `set_assignment`, so its slot is a
+/// seed; its descendants inherit the change through their AVs' reach.
+fn restamp_subtrees(tree: &FTree, cache: &mut FlowCache, seeds: &[u32]) {
+    cache.last_stamp = cache
+        .last_stamp
+        .checked_add(1)
+        .expect("fewer than 2^32 drains per tree");
+    let stamp = cache.last_stamp;
+    if cache.stamp.len() < tree.arena.len() {
+        cache.stamp.resize(tree.arena.len(), 0);
+    }
+    let mut stack = std::mem::take(&mut cache.stack);
+    stack.clear();
+    for &slot in seeds {
+        if (slot as usize) < tree.arena.len() && tree.arena[slot as usize].is_some() {
+            stack.push((slot, false));
+        }
+        while let Some((slot, _)) = stack.pop() {
+            // A slot already stamped had its whole subtree stamped with it.
+            if cache.stamp[slot as usize] == stamp {
+                continue;
+            }
+            cache.stamp[slot as usize] = stamp;
+            for &ch in &tree.comp(ComponentId(slot)).children {
+                stack.push((ch.0, false));
+            }
+        }
+    }
+    cache.stack = stack;
 }
 
 /// Recomputes the cached accumulators of every marked component, children
@@ -368,12 +419,12 @@ pub enum ProbePlan {
 /// The deferred half of a sampled probe: which component must be estimated,
 /// and how to turn an estimate into a flow score.
 ///
-/// Journal-based structural plans hold only the candidate edge and a share
-/// of the formed component's snapshot and vertex map — scoring re-applies
-/// the edge to the shared tree via the undo journal, serving it that
-/// snapshot instead of building one, and rolls back. The plan is therefore
-/// only valid while the tree it was created from is unchanged (the
-/// invariant every selection iteration already maintains).
+/// A journal-based structural plan keeps the redo images its planning apply
+/// captured. Scoring swaps them into the shared tree as a journalled
+/// insertion, sets the estimate, evaluates and swaps them out again — no
+/// insertion runs. The plan is therefore only valid while the tree it was
+/// created from is unchanged (the invariant every selection iteration
+/// already maintains).
 #[derive(Debug)]
 pub struct SampledProbe {
     snapshot: Arc<ComponentGraph>,
@@ -386,13 +437,13 @@ enum SampledKind {
     /// Case IIIa: re-estimate one existing bi component; flow is evaluated
     /// on the *original* tree with the estimate overriding the stored one.
     InBi { cid: ComponentId },
-    /// Cases IIIb/IV, journal-based (the default): scoring applies the
-    /// candidate to the shared tree, evaluates, and rolls back — no clone.
-    /// The re-apply is served the plan's own snapshot and vertex map.
+    /// Cases IIIb/IV, journal-based (the default): the applied state's
+    /// images (`None` once a probe record took them for its commit) and
+    /// the formed component's vertex map.
     Structural {
-        edge: EdgeId,
         case: InsertCase,
         local: Arc<LocalMap>,
+        images: Option<CommitReplay>,
     },
     /// Cases IIIb/IV, the pinned clone-based reference: the probe's tree
     /// clone with the candidate inserted and the estimate still pending.
@@ -441,14 +492,25 @@ impl SampledProbe {
         }
     }
 
+    /// The redo images of a journal structural plan, holding the estimate
+    /// of its latest score: the selection loop commits the candidate by
+    /// replaying them instead of re-running the insertion. `None` for
+    /// other plans, and after the first call.
+    pub(crate) fn take_replay(&mut self) -> Option<CommitReplay> {
+        match &mut self.kind {
+            SampledKind::Structural { images, .. } => images.take(),
+            _ => None,
+        }
+    }
+
     /// Scores the probe under `estimate`: the flow the tree would have with
     /// the candidate inserted, plus the candidate-specific `1 − α` bounds.
     ///
     /// Callable repeatedly — racing rounds re-score with growing-budget
     /// estimates; only the latest call's estimate is retained. `tree` must
     /// be the tree the plan was created from, **unchanged since** — a
-    /// journal-based structural score applies the candidate to it and rolls
-    /// back before returning, so the tree reads unmodified afterwards.
+    /// journal-based structural score swaps the plan's images into it and
+    /// out again before returning, so the tree reads unmodified afterwards.
     pub fn score(
         &mut self,
         tree: &mut FTree,
@@ -457,27 +519,9 @@ impl SampledProbe {
         alpha: f64,
         estimate: ComponentEstimate,
     ) -> ProbeOutcome {
-        self.score_keeping(tree, graph, include_query, alpha, estimate)
-            .0
-    }
-
-    /// [`score`](Self::score), additionally capturing a [`CommitReplay`]
-    /// when the tree's incremental flow cache is enabled and the probe is a
-    /// journal-based structural one: the rollback records the applied
-    /// state's images on the way out, so the selection loop can commit this
-    /// candidate later by replaying the recorded mutations instead of
-    /// re-running the insertion.
-    pub(crate) fn score_keeping(
-        &mut self,
-        tree: &mut FTree,
-        graph: &ProbabilisticGraph,
-        include_query: bool,
-        alpha: f64,
-        estimate: ComponentEstimate,
-    ) -> Scored {
-        match &mut self.kind {
+        let (flow, lower, upper) = match &mut self.kind {
             SampledKind::InBi { cid } => {
-                let (flow, lower, upper) = if tree.flow_cache_enabled() {
+                if tree.flow_cache_enabled() {
                     tree.flow_with_override_bounds_cached(
                         graph,
                         include_query,
@@ -495,54 +539,34 @@ impl SampledProbe {
                         &estimate,
                         alpha,
                     )
-                };
-                (
-                    ProbeOutcome {
-                        flow,
-                        lower,
-                        upper,
-                        case: InsertCase::CycleInBi,
-                        sampling_cost_edges: self.cost_edges,
-                    },
-                    None,
-                )
+                }
             }
-            SampledKind::Structural { edge, local, .. } => {
-                // Apply → evaluate → rollback on the shared tree: the
-                // re-apply forms the plan's component again, so it is served
-                // the plan's snapshot and the supplied estimate.
-                let mut supplied = Supplied {
-                    snapshot: &self.snapshot,
-                    local,
-                    estimate: Some(estimate),
-                };
-                let score = InApplyScore {
-                    include_query,
-                    alpha,
-                    at_hand: &mut supplied,
-                };
-                let (_, scored) = tree.probe_structural(graph, *edge, Some(score));
-                scored.expect("a supplied estimate is always scored")
+            SampledKind::Structural { images, .. } => {
+                // The images are the applied state: swapping them in
+                // reproduces the planning apply's tree and touched slots,
+                // so the evaluation is the one a re-apply would run.
+                let replay = images
+                    .take()
+                    .expect("a structural plan keeps its images until its record takes them");
+                let (cid, journal) = tree.swap_in(replay);
+                tree.set_bi_estimate(cid, estimate);
+                let bounds = tree.applied_flow_bounds(graph, include_query, cid, alpha, &journal);
+                *images = Some(tree.rollback_capturing(journal, cid));
+                bounds
             }
             SampledKind::StructuralCloned {
-                tree: clone,
-                cid,
-                case,
+                tree: clone, cid, ..
             } => {
                 clone.set_bi_estimate(*cid, estimate);
-                let (flow, lower, upper) =
-                    clone.flow_with_bounds(graph, include_query, *cid, alpha);
-                (
-                    ProbeOutcome {
-                        flow,
-                        lower,
-                        upper,
-                        case: *case,
-                        sampling_cost_edges: self.cost_edges,
-                    },
-                    None,
-                )
+                clone.flow_with_bounds(graph, include_query, *cid, alpha)
             }
+        };
+        ProbeOutcome {
+            flow,
+            lower,
+            upper,
+            case: self.case(),
+            sampling_cost_edges: self.cost_edges,
         }
     }
 }
@@ -572,33 +596,6 @@ impl AtHand for Estimated<'_> {
 
     fn estimate(&mut self, snapshot: &ComponentGraph) -> Option<ComponentEstimate> {
         Some(self.0.estimate(snapshot))
-    }
-}
-
-/// A journal structural plan's re-score: the plan's own snapshot and
-/// vertex map at the supplied estimate.
-struct Supplied<'p> {
-    snapshot: &'p Arc<ComponentGraph>,
-    local: &'p Arc<LocalMap>,
-    estimate: Option<ComponentEstimate>,
-}
-
-impl AtHand for Supplied<'_> {
-    fn stored(&mut self, _: u64, av: VertexId, edges: &[EdgeId]) -> Option<Formed> {
-        // On the unchanged tree the re-apply forms exactly the plan's
-        // component; anything else is built afresh.
-        if self.snapshot.articulation() != av || self.snapshot.global_edges() != edges {
-            return None;
-        }
-        Some(Formed {
-            snapshot: Arc::clone(self.snapshot),
-            local: Arc::clone(self.local),
-            estimate: self.estimate.take()?,
-        })
-    }
-
-    fn estimate(&mut self, _: &ComponentGraph) -> Option<ComponentEstimate> {
-        self.estimate.take()
     }
 }
 
@@ -641,7 +638,7 @@ impl ComponentSource for ProbeSource<'_> {
 /// Scoring inside a structural probe's own apply: `at_hand` is offered the
 /// formed component before it is built, then its built snapshot, and when
 /// either answers the candidate is scored before the rollback instead of
-/// by a second apply.
+/// by swapping the plan's images back in later.
 pub(crate) struct InApplyScore<'a> {
     pub(crate) include_query: bool,
     pub(crate) alpha: f64,
@@ -657,8 +654,7 @@ pub(crate) enum PlanMode<'a> {
     Journal(Option<InApplyScore<'a>>),
 }
 
-/// A probe score plus its redo images (structural journal probes with the
-/// flow cache enabled).
+/// A probe score plus its redo images (journal structural probes only).
 pub(crate) type Scored = (ProbeOutcome, Option<CommitReplay>);
 
 impl FTree {
@@ -967,6 +963,7 @@ impl FTree {
             }
             mark_touched(tree, &mut cache, &seeds);
             drain_marked(tree, &mut cache, graph);
+            restamp_subtrees(tree, &mut cache, &seeds);
             cache.seeds = seeds;
         }
         let mut total = if include_query {
@@ -981,6 +978,42 @@ impl FTree {
         }
         self.flow_cache = Some(cache);
         total
+    }
+
+    /// [`FTree::reach_to_query`] of a leaf probe's anchor, memoized in the
+    /// flow cache: served while the anchor's owner keeps the stamp the value
+    /// was stored under, computed and stored otherwise. Without a flow
+    /// cache it is the plain walk. Debug builds check every hit against a
+    /// fresh walk, bit for bit.
+    fn anchor_reach(&mut self, anchor: VertexId) -> f64 {
+        if let Some(hit) = self.memoized_reach(anchor) {
+            debug_assert_eq!(
+                hit.to_bits(),
+                self.reach_to_query(anchor).to_bits(),
+                "memoized reach of {anchor:?} is stale"
+            );
+            return hit;
+        }
+        let reach = self.reach_to_query(anchor);
+        if let (Some(owner), Some(cache)) = (self.owner(anchor), self.flow_cache.as_deref_mut()) {
+            let at = anchor.index();
+            if cache.reach.len() <= at {
+                cache.reach.resize(at + 1, 0.0);
+                cache.reach_stamp.resize(at + 1, 0);
+            }
+            cache.reach[at] = reach;
+            cache.reach_stamp[at] = cache.stamp.get(owner.index()).copied().unwrap_or(0);
+        }
+        reach
+    }
+
+    /// The memoized reach of `v`, if its owner still has the (nonzero)
+    /// stamp it was stored under; `None` without a flow cache.
+    pub(crate) fn memoized_reach(&self, v: VertexId) -> Option<f64> {
+        let cache = self.flow_cache.as_deref()?;
+        let stamp = *cache.stamp.get(self.owner(v)?.index())?;
+        (stamp != 0 && cache.reach_stamp.get(v.index()) == Some(&stamp))
+            .then(|| cache.reach[v.index()])
     }
 
     /// The incremental counterpart of [`FTree::flow_with_bounds`], for
@@ -1109,11 +1142,10 @@ impl FTree {
             .map(|(outcome, _replay)| outcome)
     }
 
-    /// [`probe_edge`](FTree::probe_edge), additionally capturing a
-    /// [`CommitReplay`] when the incremental flow cache is enabled and the
-    /// probe is structural: the selection loop can then commit the winning
-    /// candidate by replaying its probe's recorded mutations instead of
-    /// re-running the insertion.
+    /// [`probe_edge`](FTree::probe_edge), additionally returning the
+    /// [`CommitReplay`] of a structural probe: the selection loop can then
+    /// commit the winning candidate by replaying its probe's recorded
+    /// mutations instead of re-running the insertion.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn probe_edge_keeping(
         &mut self,
@@ -1132,14 +1164,17 @@ impl FTree {
         };
         let (plan, scored) =
             self.probe_plan_with(graph, e, base_flow, PlanMode::Journal(Some(score)))?;
-        if let Some(scored) = scored {
-            return Ok(scored);
-        }
         match plan {
             ProbePlan::Analytic(outcome) => Ok((outcome, None)),
             ProbePlan::Sampled(mut sampled) => {
-                let estimate = at_hand.0.estimate(sampled.snapshot());
-                Ok(sampled.score_keeping(self, graph, include_query, alpha, estimate))
+                let outcome = match scored {
+                    Some(outcome) => outcome,
+                    None => {
+                        let estimate = at_hand.0.estimate(sampled.snapshot());
+                        sampled.score(self, graph, include_query, alpha, estimate)
+                    }
+                };
+                Ok((outcome, sampled.take_replay()))
             }
         }
     }
@@ -1222,11 +1257,11 @@ impl FTree {
         e: EdgeId,
         base_flow: f64,
         mode: PlanMode<'_>,
-    ) -> Result<(ProbePlan, Option<Scored>), CoreError> {
+    ) -> Result<(ProbePlan, Option<ProbeOutcome>), CoreError> {
         match self.classify_candidate(graph, e)? {
             ProbeClass::Leaf { anchor, leaf } => {
                 let p = graph.probability(e).value();
-                let delta = graph.weight(leaf).value() * p * self.reach_to_query(anchor);
+                let delta = graph.weight(leaf).value() * p * self.anchor_reach(anchor);
                 let flow = base_flow + delta;
                 let case = match self.owner(anchor) {
                     Some(cid) if self.comp(cid).is_bi() => InsertCase::LeafBi,
@@ -1296,18 +1331,16 @@ impl FTree {
     /// otherwise building it with the estimate deferred and offering the
     /// new snapshot to `score`. When an estimate is at hand, the candidate
     /// is scored while the insertion is still in place. The rollback then
-    /// restores the tree bit-identically, capturing the redo images when a
-    /// score was taken with the flow cache enabled.
-    ///
-    /// Always returns the plan (it shares the applied snapshot and vertex
-    /// map — no copy), so a later [`SampledProbe::score`] can re-score at a
-    /// new estimate.
+    /// restores the tree bit-identically and captures the applied state's
+    /// images into the returned plan, so a later
+    /// [`SampledProbe::score`] re-scores at a new estimate by swapping them
+    /// back in, and a commit replays them.
     fn probe_structural(
         &mut self,
         graph: &ProbabilisticGraph,
         e: EdgeId,
         mut score: Option<InApplyScore<'_>>,
-    ) -> (SampledProbe, Option<Scored>) {
+    ) -> (SampledProbe, Option<ProbeOutcome>) {
         let mut source = ProbeSource {
             at_hand: score.as_mut().map(|s| &mut *s.at_hand as &mut dyn AtHand),
             served: false,
@@ -1325,50 +1358,61 @@ impl FTree {
         else {
             unreachable!("cycle insertions always produce a bi component")
         };
-        let plan = SampledProbe {
-            snapshot: Arc::clone(snapshot),
-            cost_edges: report.sampled_edge_count,
-            kind: SampledKind::Structural {
-                edge: e,
-                case: report.case,
-                local: Arc::clone(local),
-            },
-        };
-        let Some(InApplyScore {
+        let (snapshot, local) = (Arc::clone(snapshot), Arc::clone(local));
+        let mut outcome = None;
+        if let Some(InApplyScore {
             include_query,
             alpha,
             at_hand,
         }) = score
-        else {
-            self.rollback(journal);
-            return (plan, None);
-        };
-        if !served {
-            let Some(estimate) = at_hand.estimate(&plan.snapshot) else {
-                self.rollback(journal);
-                return (plan, None);
-            };
-            self.set_bi_estimate(cid, estimate);
+        {
+            let estimated = served
+                || at_hand
+                    .estimate(&snapshot)
+                    .map(|estimate| self.set_bi_estimate(cid, estimate))
+                    .is_some();
+            if estimated {
+                let (flow, lower, upper) =
+                    self.applied_flow_bounds(graph, include_query, cid, alpha, &journal);
+                outcome = Some(ProbeOutcome {
+                    flow,
+                    lower,
+                    upper,
+                    case: report.case,
+                    sampling_cost_edges: report.sampled_edge_count,
+                });
+            }
         }
-        let (flow, lower, upper) = if self.flow_cache_enabled() {
-            self.flow_with_bounds_cached(graph, include_query, cid, alpha, &journal)
+        let images = self.rollback_capturing(journal, cid);
+        let plan = SampledProbe {
+            snapshot,
+            cost_edges: report.sampled_edge_count,
+            kind: SampledKind::Structural {
+                case: report.case,
+                local,
+                images: Some(images),
+            },
+        };
+        (plan, outcome)
+    }
+
+    /// `(point, lower, upper)` flow of the tree while a journalled
+    /// insertion forming bi component `cid` is in place:
+    /// `O(touched)` through the flow cache when it is enabled, one
+    /// whole-forest traversal otherwise.
+    fn applied_flow_bounds(
+        &mut self,
+        graph: &ProbabilisticGraph,
+        include_query: bool,
+        cid: ComponentId,
+        alpha: f64,
+        journal: &Journal,
+    ) -> (f64, f64, f64) {
+        if self.flow_cache_enabled() {
+            self.flow_with_bounds_cached(graph, include_query, cid, alpha, journal)
         } else {
             self.flow_with_bounds(graph, include_query, cid, alpha)
-        };
-        let replay = if self.flow_cache_enabled() {
-            Some(self.rollback_capturing(journal, cid))
-        } else {
-            self.rollback(journal);
-            None
-        };
-        let outcome = ProbeOutcome {
-            flow,
-            lower,
-            upper,
-            case: report.case,
-            sampling_cost_edges: report.sampled_edge_count,
-        };
-        (plan, Some((outcome, replay)))
+        }
     }
 }
 
@@ -1690,5 +1734,223 @@ mod tests {
             tree.expected_flow(&g, false).to_bits(),
             "stale cache must be caught"
         );
+    }
+
+    /// Commits `e` the way the incremental greedy does (journalled apply,
+    /// touched slots queued) and drains the flow cache.
+    fn commit(tree: &mut FTree, g: &ProbabilisticGraph, e: EdgeId) -> InsertCase {
+        let (report, journal) = tree.apply(g, e, &mut exact_provider()).unwrap();
+        let touched: Vec<u32> = journal.touched_slot_ids().collect();
+        drop(journal);
+        tree.cache_mark_dirty(touched);
+        tree.flow_cached_total(g, false);
+        report.case
+    }
+
+    /// Q(0) with triangle 0-1-2 (bi B1), tail 2-3 (mono M1), triangle
+    /// 3-4-5 (bi B2 under M1), tail 5-6 (mono M3 under B2); e8 = 6-7 is a
+    /// leaf candidate at anchor 6, and e9 = 0-3 closes a case-IV cycle
+    /// that absorbs B1 and M1 and re-parents B2, leaving M3's slot
+    /// untouched while the reach of its vertices changes.
+    fn nested_graph() -> ProbabilisticGraph {
+        let mut b = GraphBuilder::new();
+        b.add_vertices(8, Weight::ONE);
+        let p = Probability::new(0.5).unwrap();
+        for (x, y) in [
+            (0, 1),
+            (1, 2),
+            (2, 0),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 3),
+            (5, 6),
+            (6, 7),
+            (0, 3),
+        ] {
+            b.add_edge(VertexId(x), VertexId(y), p).unwrap();
+        }
+        b.build()
+    }
+
+    /// A case-IV commit above a leaf probe's anchor changes the anchor's
+    /// reach without touching the anchor's own component; the next leaf
+    /// probe must see the new reach, bit for bit.
+    #[test]
+    fn a_commit_above_the_anchor_invalidates_its_memoized_reach() {
+        let g = nested_graph();
+        let (anchor, leaf) = (VertexId(6), EdgeId(8));
+        let mut tree = FTree::new(&g, VertexId(0));
+        tree.enable_flow_cache();
+        for e in 0..8 {
+            commit(&mut tree, &g, EdgeId(e));
+        }
+        let owner = tree.owner(anchor).unwrap();
+        let leaf_probe = |tree: &mut FTree| {
+            let base = tree.flow_cached_total(&g, false);
+            let outcome = tree
+                .probe_edge(&g, leaf, base, false, 0.01, &mut exact_provider())
+                .unwrap();
+            let expected = base + 1.0 * 0.5 * tree.reach_to_query(anchor);
+            assert_eq!(outcome.flow.to_bits(), expected.to_bits());
+        };
+        leaf_probe(&mut tree);
+        let before = tree.reach_to_query(anchor);
+        assert_eq!(tree.memoized_reach(anchor), Some(before));
+        assert_eq!(commit(&mut tree, &g, EdgeId(9)), InsertCase::CycleAcross);
+        assert_eq!(
+            tree.owner(anchor),
+            Some(owner),
+            "the anchor keeps its owner"
+        );
+        assert_ne!(
+            tree.reach_to_query(anchor),
+            before,
+            "the anchor's reach moved"
+        );
+        assert_eq!(tree.memoized_reach(anchor), None, "the memo is invalidated");
+        leaf_probe(&mut tree);
+        assert_eq!(
+            tree.memoized_reach(anchor).map(f64::to_bits),
+            Some(tree.reach_to_query(anchor).to_bits())
+        );
+    }
+
+    /// Scoring a journal structural plan swaps its images in and out: two
+    /// scores at two estimates insert nothing, leave the tree equal to a
+    /// clone taken before the plan, and equal the clone-based reference's
+    /// scores bit for bit.
+    #[test]
+    fn structural_scores_swap_images_without_inserting() {
+        use crate::estimator::EstimateProvider;
+        let g = crate::ftree::goldens::figure3_graph();
+        let mut tree = FTree::new(&g, VertexId(0));
+        let mut pr = exact_provider();
+        for e in 0..19 {
+            tree.insert_edge(&g, EdgeId(e), &mut pr).unwrap();
+        }
+        let mut reference = tree.clone();
+        tree.enable_flow_cache();
+        let base = tree.flow_cached_total(&g, false);
+        for e in [EdgeId(21), EdgeId(22)] {
+            let before = tree.clone();
+            let ProbePlan::Sampled(mut plan) = tree.probe_plan(&g, e, base).unwrap() else {
+                panic!("a structural candidate is sampled");
+            };
+            let ProbePlan::Sampled(mut cloned) = reference.probe_plan_cloning(&g, e, base).unwrap()
+            else {
+                panic!("a structural candidate is sampled");
+            };
+            let estimates = [64, 512].map(|samples| {
+                SamplingProvider::new(EstimatorConfig::monte_carlo(samples), 5)
+                    .estimate(plan.snapshot())
+            });
+            #[cfg(debug_assertions)]
+            let inserts = FTree::debug_structural_insert_count();
+            let mut flows = Vec::new();
+            for estimate in estimates {
+                let a = plan.score(&mut tree, &g, false, 0.01, estimate.clone());
+                let b = cloned.score(&mut reference, &g, false, 0.01, estimate);
+                assert_eq!(a.case, b.case);
+                assert_eq!(a.flow.to_bits(), b.flow.to_bits());
+                assert_eq!(a.lower.to_bits(), b.lower.to_bits());
+                assert_eq!(a.upper.to_bits(), b.upper.to_bits());
+                assert!(tree == before, "a score leaves the tree as it found it");
+                flows.push(a.flow);
+            }
+            #[cfg(debug_assertions)]
+            assert_eq!(FTree::debug_structural_insert_count(), inserts);
+            assert_ne!(flows[0], flows[1], "the two estimates differ");
+            assert!(plan.take_replay().is_some(), "the plan keeps its images");
+        }
+    }
+
+    mod memo_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A spanning tree over `n` vertices (vertex `i + 1` hangs off
+        /// `parents[i] % (i + 1)`) plus chords, with random probabilities.
+        fn build(
+            n: usize,
+            parents: &[usize],
+            chords: &[(usize, usize)],
+            probs: &[f64],
+        ) -> ProbabilisticGraph {
+            let mut b = GraphBuilder::new();
+            b.add_vertices(n, Weight::ONE);
+            let pairs = parents
+                .iter()
+                .enumerate()
+                .map(|(i, &r)| (i + 1, r % (i + 1)))
+                .chain(chords.iter().map(|&(u, v)| (u % n, v % n)));
+            for (k, (u, v)) in pairs.enumerate() {
+                let (u, v) = (VertexId::from_index(u), VertexId::from_index(v));
+                if u != v && !b.has_edge(u, v) {
+                    let p = Probability::new(probs[k % probs.len()]).unwrap();
+                    b.add_edge(u, v, p).unwrap();
+                }
+            }
+            b.build()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// After every commit of a random order — structural winners by
+            /// replay, the rest by journalled apply, as the greedy commits
+            /// them — every tree vertex's memoized reach that is still
+            /// served equals a fresh walk to `Q`, bit for bit.
+            #[test]
+            fn a_served_memo_always_equals_a_fresh_walk(
+                (n, parents, chords, probs, order) in (
+                    3usize..9,
+                    proptest::collection::vec(0usize..64, 8),
+                    proptest::collection::vec((0usize..9, 0usize..9), 0..6),
+                    proptest::collection::vec(0.05f64..=1.0, 14),
+                    proptest::collection::vec(0usize..64, 14),
+                )
+            ) {
+                let g = build(n, &parents[..n - 1], &chords, &probs);
+                let mut tree = FTree::new(&g, VertexId(0));
+                tree.enable_flow_cache();
+                let mut pr = exact_provider();
+                for pick in order {
+                    let base = tree.flow_cached_total(&g, false);
+                    let in_tree: Vec<VertexId> =
+                        g.vertices().filter(|&v| tree.contains_vertex(v)).collect();
+                    for &v in &in_tree {
+                        tree.anchor_reach(v);
+                    }
+                    let cands = insertable(&g, &tree);
+                    if cands.is_empty() {
+                        break;
+                    }
+                    let e = cands[pick % cands.len()];
+                    let (_, replay) = tree
+                        .probe_edge_keeping(&g, e, base, false, 0.01, &mut pr)
+                        .unwrap();
+                    match replay {
+                        Some(replay) => tree.commit_replay(replay),
+                        None => {
+                            let (_, journal) = tree.apply(&g, e, &mut pr).unwrap();
+                            let touched: Vec<u32> = journal.touched_slot_ids().collect();
+                            drop(journal);
+                            tree.cache_mark_dirty(touched);
+                        }
+                    }
+                    tree.flow_cached_total(&g, false);
+                    for &v in &in_tree {
+                        if let Some(memo) = tree.memoized_reach(v) {
+                            prop_assert_eq!(
+                                memo.to_bits(),
+                                tree.reach_to_query(v).to_bits(),
+                                "stale memo of {:?} after committing {:?}", v, e
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

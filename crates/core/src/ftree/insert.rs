@@ -362,8 +362,8 @@ impl FTree {
         let mut edges: Vec<EdgeId> = vec![e];
         let mut inherited: Vec<ComponentId> = Vec::new();
 
-        let x = self.absorb_chain(a, ca, lca, &mut members, &mut edges, &mut inherited);
-        let y = self.absorb_chain(b, cb, lca, &mut members, &mut edges, &mut inherited);
+        let x = self.absorb_chain(graph, a, ca, lca, &mut members, &mut edges, &mut inherited);
+        let y = self.absorb_chain(graph, b, cb, lca, &mut members, &mut edges, &mut inherited);
 
         // Case IVa: meet at the lowest common ancestor component.
         let (av, parent) = match lca {
@@ -390,7 +390,7 @@ impl FTree {
                     let mut removed = Vec::new();
                     self.move_mono_path(cid, x, v_lca, &mut members, &mut edges, &mut removed);
                     self.move_mono_path(cid, y, v_lca, &mut members, &mut edges, &mut removed);
-                    self.regroup_after_removal(cid, &removed, &mut inherited);
+                    self.regroup_after_removal(graph, cid, &removed, &mut inherited);
                     let comp = self.comp(cid);
                     if v_lca == comp.articulation {
                         let parent = comp.parent;
@@ -453,8 +453,10 @@ impl FTree {
     /// `stop`, absorbing everything on the cycle's path into the new
     /// component being built. Returns the vertex at which the chain enters
     /// `stop` (or `Q` if `stop` is the virtual root).
+    #[allow(clippy::too_many_arguments)]
     fn absorb_chain(
         &mut self,
+        graph: &ProbabilisticGraph,
         start: VertexId,
         start_comp: Option<ComponentId>,
         stop: Option<ComponentId>,
@@ -476,7 +478,7 @@ impl FTree {
                 // Case IVc: only the entry→AV path joins the cycle.
                 let mut removed = Vec::new();
                 self.move_mono_path(cid, entry, av, members, edges, &mut removed);
-                self.regroup_after_removal(cid, &removed, inherited);
+                self.regroup_after_removal(graph, cid, &removed, inherited);
                 if self.comp(cid).member_count() == 0 {
                     debug_assert!(self.comp(cid).children.is_empty());
                     self.detach_from_parent(cid);
@@ -576,10 +578,18 @@ impl FTree {
     /// on their path (§5.4 case IIIb step iii), and re-parents the children
     /// of `cid` whose AV moved.
     ///
+    /// Orphans are found by walking down from each removed vertex through
+    /// its graph neighbours — `u` is a child of `v` iff `u`'s parent hop is
+    /// `v` over the connecting edge — stopping at removed vertices, which
+    /// anchor their own groups. The cost is the orphans' degrees, not the
+    /// component's size. Each group is sorted ascending, and groups split off
+    /// in ascending anchor order.
+    ///
     /// Newly created orphan components and children that must hang off the
     /// new bi component are appended to `inherited`.
     fn regroup_after_removal(
         &mut self,
+        graph: &ProbabilisticGraph,
         cid: ComponentId,
         removed: &[VertexId],
         inherited: &mut Vec<ComponentId>,
@@ -588,61 +598,46 @@ impl FTree {
             return;
         }
         let removed_set: BTreeSet<VertexId> = removed.iter().copied().collect();
-        let av = self.comp(cid).articulation;
 
-        // Classify every remaining member: Stay, or orphan of the first
-        // removed vertex on its path to the AV. Memoized chain walk keeps
-        // this linear overall.
-        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-        enum Class {
-            Stay,
-            OrphanOf(VertexId),
-        }
-        let mut classes: BTreeMap<VertexId, Class> = BTreeMap::new();
+        let mut groups: Vec<(VertexId, Vec<VertexId>)> = Vec::new();
         {
             let Kind::Mono { members } = &self.comp(cid).kind else {
                 unreachable!()
             };
-            let keys: Vec<VertexId> = members.keys().copied().collect();
-            let mut chain: Vec<VertexId> = Vec::new();
-            for v in keys {
-                chain.clear();
-                let mut cur = v;
-                let class = loop {
-                    if cur == av {
-                        break Class::Stay;
+            let mut stack: Vec<VertexId> = Vec::new();
+            for &anchor in &removed_set {
+                let mut group = Vec::new();
+                stack.push(anchor);
+                while let Some(v) = stack.pop() {
+                    for (u, e) in graph.neighbors(v) {
+                        // Removed vertices left `members`, so a walk never
+                        // descends past one.
+                        if members
+                            .get(&u)
+                            .is_some_and(|m| m.parent == v && m.parent_edge == e)
+                        {
+                            group.push(u);
+                            stack.push(u);
+                        }
                     }
-                    if removed_set.contains(&cur) {
-                        break Class::OrphanOf(cur);
-                    }
-                    if let Some(&c) = classes.get(&cur) {
-                        break c;
-                    }
-                    chain.push(cur);
-                    cur = members[&cur].parent;
-                };
-                for &c in &chain {
-                    classes.insert(c, class);
+                }
+                if !group.is_empty() {
+                    group.sort_unstable();
+                    groups.push((anchor, group));
                 }
             }
         }
 
-        // Group orphans by anchor and split them off into new mono
-        // components, recomputing reach/depth relative to the new AV.
-        let mut groups: BTreeMap<VertexId, Vec<VertexId>> = BTreeMap::new();
-        for (&v, &class) in &classes {
-            if let Class::OrphanOf(r) = class {
-                groups.entry(r).or_default().push(v);
-            }
-        }
-        for (&anchor, group) in &groups {
+        // Split each group off into a new mono component, recomputing
+        // reach/depth relative to the new AV.
+        for (anchor, group) in groups {
             let mut taken: BTreeMap<VertexId, MonoMember> = BTreeMap::new();
             {
                 let Kind::Mono { members } = &mut self.comp_mut(cid).kind else {
                     unreachable!()
                 };
                 let members = Arc::make_mut(members);
-                for &v in group {
+                for &v in &group {
                     let m = members.remove(&v).expect("orphan is a member");
                     taken.insert(v, m);
                 }
@@ -657,7 +652,7 @@ impl FTree {
                 },
             };
             let oid = self.alloc(oc);
-            for &v in group {
+            for &v in &group {
                 self.set_assignment(v, Some(oid));
             }
             inherited.push(oid);
@@ -992,5 +987,68 @@ mod tests {
         assert_eq!(members[&a].depth, 1);
         assert_eq!(members[&b].reach, 0.125);
         assert_eq!(members[&b].depth, 2);
+    }
+
+    /// The orphan golden: chord 4-1 carves the path 4→3→2 out of the mono
+    /// tree Q-1-2-3-4 whose removed vertices carry nested orphans (5 with
+    /// its child 6 under 2), a removed child (3 under 2, 4 under 3) and
+    /// plain orphans (7 under 3, 8 under 4). Each removed vertex anchors
+    /// its own group, groups split off in ascending anchor order, and every
+    /// orphan's reach and depth restart at its anchor.
+    #[test]
+    fn split_tree_regroups_nested_orphans_under_their_nearest_removed_vertex() {
+        let mut b = GraphBuilder::new();
+        b.add_vertices(9, Weight::ONE);
+        let p = Probability::new(0.5).unwrap();
+        for (x, y) in [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (2, 5),
+            (5, 6),
+            (3, 7),
+            (4, 8),
+            (4, 1),
+        ] {
+            b.add_edge(VertexId(x), VertexId(y), p).unwrap();
+        }
+        let g = b.build();
+        let mut t = FTree::new(&g, VertexId(0));
+        let mut pr = exact_provider();
+        for e in 0..8 {
+            t.insert_edge(&g, EdgeId(e), &mut pr).unwrap();
+        }
+        let root = t.owner(VertexId(1)).unwrap();
+        let r = t.insert_edge(&g, EdgeId(8), &mut pr).unwrap();
+        assert_eq!(r.case, InsertCase::CycleInMono);
+        let bc = r.component.unwrap();
+        let group = |v: u32| t.owner(VertexId(v)).unwrap();
+        let members = |cid: ComponentId| -> Vec<(u32, f64, u32)> {
+            let Kind::Mono { members } = &t.comp(cid).kind else {
+                panic!("orphan groups are mono")
+            };
+            members
+                .iter()
+                .map(|(v, m)| (v.0, m.reach, m.depth))
+                .collect()
+        };
+        let (o2, o3, o4) = (group(5), group(7), group(8));
+        assert_eq!(group(6), o2);
+        assert_eq!(members(o2), [(5, 0.5, 1), (6, 0.25, 2)]);
+        assert_eq!(members(o3), [(7, 0.5, 1)]);
+        assert_eq!(members(o4), [(8, 0.5, 1)]);
+        assert_eq!(members(root), [(1, 0.5, 1)]);
+        for (cid, av) in [(o2, 2), (o3, 3), (o4, 4)] {
+            assert_eq!(t.comp(cid).articulation, VertexId(av));
+            assert_eq!(t.comp(cid).parent, Some(bc));
+        }
+        assert!(o2 < o3 && o3 < o4 && o4 < bc, "groups allocate by anchor");
+        assert_eq!(t.comp(bc).children, [o2, o3, o4]);
+        assert_eq!(t.comp(bc).parent, Some(root));
+        for v in 2..=4 {
+            assert_eq!(t.owner(VertexId(v)), Some(bc));
+        }
+        t.validate(&g).unwrap();
     }
 }

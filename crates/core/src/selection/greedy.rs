@@ -428,13 +428,14 @@ fn probe_once(
             ProbePlan::Analytic(outcome) => (outcome, None),
             ProbePlan::Sampled(mut sampled) => {
                 let estimate = provider.estimate(sampled.snapshot());
-                sampled.score_keeping(tree, graph, config.include_query, config.alpha, estimate)
+                let outcome =
+                    sampled.score(tree, graph, config.include_query, config.alpha, estimate);
+                (outcome, None)
             }
         };
     }
     // Journal engine: the one-shot probe fuses plan + score into a single
-    // journalled apply (capturing the redo images when the incremental
-    // flow cache is enabled).
+    // journalled apply, capturing a structural probe's redo images.
     tree.probe_edge_keeping(
         graph,
         e,

@@ -19,15 +19,18 @@
 //! candidates are not planned again on the next iteration.
 //!
 //! A structural (case IIIb/IV) plan is a journalled insertion on the shared
-//! tree. When the formed component's lane already covers round 0's target
-//! — a *warm* lane, the common case once §6.2 memoization has seen the
-//! component — the candidate is scored inside that same planning apply, so
-//! it costs one insertion per iteration; only cold candidates are applied
-//! again after their lanes are extended. A warm lane whose snapshot has the
-//! insertion's exact AV and edge sequence also hands the apply its
-//! snapshot, vertex map and estimate before anything is built, so a warm
-//! probe builds no snapshot either. The lanes are the only store: no
-//! snapshot is kept that a lane does not hold.
+//! tree, and every structural candidate costs exactly that one insertion
+//! per iteration. When the formed component's lane already covers round
+//! 0's target — a *warm* lane, the common case once §6.2 memoization has
+//! seen the component — the candidate is scored inside the planning apply.
+//! A cold candidate, and any candidate in a later round, is re-scored by
+//! swapping the redo images its plan captured into the tree and out again:
+//! nothing is inserted, built or classified twice. A warm lane whose
+//! snapshot has the insertion's exact AV and edge sequence also hands the
+//! apply its snapshot, vertex map and estimate before anything is built,
+//! so a warm probe builds no snapshot either. The lanes are the only
+//! store: no snapshot is kept that a lane does not hold. A finalist's
+//! record takes its plan's images, so the greedy commits it by replay.
 //!
 //! # Determinism contract
 //!
@@ -51,8 +54,7 @@ use flowmax_sampling::{
 
 use crate::estimator::EstimateProvider;
 use crate::ftree::{
-    AtHand, CommitReplay, FTree, Formed, InApplyScore, LocalMap, PlanMode, ProbeOutcome, ProbePlan,
-    SampledProbe,
+    AtHand, FTree, Formed, InApplyScore, LocalMap, PlanMode, ProbeOutcome, ProbePlan, SampledProbe,
 };
 use crate::metrics::SelectionMetrics;
 use crate::selection::greedy::{GreedyConfig, ProbeEngine, ProbeRecord};
@@ -126,15 +128,15 @@ impl AtHand for WarmLanes<'_> {
 
 struct Racer {
     edge: EdgeId,
+    /// The candidate's plan; a journal structural plan holds the redo
+    /// images of its latest score. A round that reuses the score (lane
+    /// already at target) keeps them: the lane's estimate is a pure
+    /// function of its drawn worlds, so the images still match what a
+    /// re-score would produce.
     plan: Box<SampledProbe>,
     key: u64,
     /// The latest score and the lane size (worlds drawn) it was taken at.
     scored: Option<(ProbeOutcome, u32)>,
-    /// Redo images captured by the latest score. A round that reuses the
-    /// score (lane already at target) keeps them: the lane's estimate is a
-    /// pure function of its drawn worlds, so the images still match what
-    /// a re-score would produce.
-    replay: Option<CommitReplay>,
 }
 
 /// Cases IIIb/IV: the probes that run an insertion on the shared tree.
@@ -187,9 +189,9 @@ impl RaceDriver {
         let opening = race_config.ladder()[0];
         let journal = config.probe_engine == ProbeEngine::Incremental;
         // Every structural plan inserts once (journalled apply, or the
-        // reference engine's clone insert); every journal re-score inserts
-        // once more. Nothing else may insert. Every sampled plan builds
-        // one snapshot unless a warm lane served it; re-scores build none.
+        // reference engine's clone insert); a re-score swaps the plan's
+        // images in and inserts nothing. Every sampled plan builds one
+        // snapshot unless a warm lane served it; re-scores build none.
         #[cfg(debug_assertions)]
         let inserts_before = FTree::debug_structural_insert_count();
         #[cfg(debug_assertions)]
@@ -249,39 +251,29 @@ impl RaceDriver {
                     if plan.snapshot().uncertain_edge_count() <= config.exact_edge_cap {
                         // Structural exact candidates were scored inside
                         // their planning apply; the rest score here.
-                        let (outcome, replay) = scored.unwrap_or_else(|| {
+                        let outcome = scored.unwrap_or_else(|| {
                             let exact = memo.estimate(plan.snapshot());
-                            plan.score_keeping(
-                                tree,
-                                graph,
-                                config.include_query,
-                                config.alpha,
-                                exact,
-                            )
+                            plan.score(tree, graph, config.include_query, config.alpha, exact)
                         });
                         metrics.probes += 1;
                         records.push(ProbeRecord {
                             edge: e,
                             outcome,
-                            replay,
+                            replay: plan.take_replay(),
                             eliminated: false,
                         });
                         continue;
                     }
                     let key = plan.snapshot().fingerprint();
-                    let (scored, replay) = match scored {
-                        Some((outcome, replay)) => {
-                            metrics.probes += 1;
-                            (Some((outcome, self.lanes[&key].component.drawn())), replay)
-                        }
-                        None => (None, None),
-                    };
+                    let scored = scored.map(|outcome| {
+                        metrics.probes += 1;
+                        (outcome, self.lanes[&key].component.drawn())
+                    });
                     racers.push(Racer {
                         edge: e,
                         plan,
                         key,
                         scored,
-                        replay,
                     });
                 }
             }
@@ -342,7 +334,7 @@ impl RaceDriver {
                 // Scoring is a pure function of the lane's estimate: a lane
                 // whose worlds did not grow since the racer's last score
                 // keeps its bounds for free. A warm racer, scored inside its
-                // planning apply, therefore pays no second insertion.
+                // planning apply, is therefore not scored again.
                 let outcome = match racer.scored {
                     Some((outcome, at)) if at == lane.drawn() => outcome,
                     _ => {
@@ -350,7 +342,7 @@ impl RaceDriver {
                             round.round > 0 || racer.scored.is_none(),
                             "a racer scored in its planning apply is re-scored only once its lane grows"
                         );
-                        let (outcome, replay) = racer.plan.score_keeping(
+                        let outcome = racer.plan.score(
                             tree,
                             graph,
                             config.include_query,
@@ -358,12 +350,7 @@ impl RaceDriver {
                             lane.estimate(),
                         );
                         metrics.probes += 1;
-                        #[cfg(debug_assertions)]
-                        if journal && is_structural(outcome.case) {
-                            structural_applies += 1;
-                        }
                         racer.scored = Some((outcome, lane.drawn()));
-                        racer.replay = replay;
                         outcome
                     }
                 };
@@ -378,7 +365,7 @@ impl RaceDriver {
             metrics.ci_pruned += summary.eliminated as u64;
         }
 
-        for (i, racer) in racers.into_iter().enumerate() {
+        for (i, mut racer) in racers.into_iter().enumerate() {
             let (outcome, _) = racer.scored.expect("every racer is scored in round 0");
             // An eliminated racer cannot win, but its last score still feeds
             // delayed sampling; its redo images would never be replayed.
@@ -393,7 +380,11 @@ impl RaceDriver {
             records.push(ProbeRecord {
                 edge: racer.edge,
                 outcome,
-                replay: racer.replay.filter(|_| !eliminated),
+                replay: if eliminated {
+                    None
+                } else {
+                    racer.plan.take_replay()
+                },
                 eliminated,
             });
         }
@@ -402,7 +393,7 @@ impl RaceDriver {
             debug_assert_eq!(
                 FTree::debug_structural_insert_count() - inserts_before,
                 structural_applies,
-                "a race inserts once per structural plan and once per journal re-score"
+                "a race inserts once per structural plan and never per re-score"
             );
             debug_assert_eq!(
                 FTree::debug_snapshot_build_count() - builds_before,
@@ -463,10 +454,11 @@ mod tests {
         assert!(at_hand.stored(key ^ 1, av, &edges).is_none());
     }
 
-    /// Once a structural racer's lane is warm, its whole race costs one
-    /// insertion — the planning apply, which also scores it — and that
-    /// score is bit-identical to the cold race's final one (same lane,
-    /// same worlds).
+    /// A structural racer's whole race costs one insertion, its planning
+    /// apply: a cold racer's per-round re-scores swap the plan's images in
+    /// and out, and a warm racer is scored inside the apply itself. The
+    /// warm score is bit-identical to the cold race's final one (same
+    /// lane, same worlds).
     #[cfg(debug_assertions)]
     #[test]
     fn a_warm_structural_racer_costs_one_insertion() {
@@ -507,7 +499,10 @@ mod tests {
             };
             let (cold, cold_builds, first) = race(&mut tree);
             let (warm, warm_builds, second) = race(&mut tree);
-            assert!(cold > 1, "a cold racer plans, then scores per round");
+            assert_eq!(
+                cold, 1,
+                "a cold racer's re-scores swap images, never insert"
+            );
             assert_eq!(cold_builds, 1, "re-scores reuse the plan's snapshot");
             assert_eq!(warm, 1, "a warm racer is planned and scored by one apply");
             assert_eq!(warm_builds, 0, "a warm racer is served its lane's snapshot");
