@@ -31,6 +31,15 @@ pub enum CoreError {
     /// The Monte-Carlo sample budget is zero; every sampled estimate would
     /// be undefined.
     ZeroSamples,
+    /// An exact-enumeration cap (a query's `exact_edge_cap`, or the
+    /// session's evaluation estimator) is above the most a component may
+    /// be enumerated at.
+    ExactEdgeCapTooLarge {
+        /// The rejected cap.
+        cap: usize,
+        /// The largest accepted cap.
+        max: usize,
+    },
     /// The algorithm name did not match any of the paper's seven algorithms
     /// (see [`Algorithm`](crate::solver::Algorithm)'s `FromStr`).
     UnknownAlgorithm(String),
@@ -74,6 +83,11 @@ impl fmt::Display for CoreError {
             CoreError::ZeroSamples => {
                 write!(f, "the Monte-Carlo sample budget must be at least 1")
             }
+            CoreError::ExactEdgeCapTooLarge { cap, max } => write!(
+                f,
+                "exact-enumeration cap {cap} is above the largest accepted cap {max} \
+                 (2^{max} worlds)"
+            ),
             CoreError::UnknownAlgorithm(name) => write!(
                 f,
                 "unknown algorithm {name:?} (expected one of Naive, Dijkstra, FT, FT+M, \
@@ -126,6 +140,9 @@ mod tests {
         assert!(e.to_string().contains("v9"));
         assert!(e.to_string().contains('4'));
         assert!(CoreError::ZeroSamples.to_string().contains("sample"));
+        let e = CoreError::ExactEdgeCapTooLarge { cap: 25, max: 24 };
+        assert!(e.to_string().contains("25"));
+        assert!(e.to_string().contains("24"));
         let e = CoreError::UnknownAlgorithm("FT+X".into());
         assert!(e.to_string().contains("FT+X"));
         assert!(e.to_string().contains("FT+M+CI+DS"));

@@ -137,11 +137,13 @@ impl SamplingProvider {
 
     /// Claims the call index an [`estimate`](EstimateProvider::estimate)
     /// of `snapshot` would sample at, or `None` when the component is
-    /// exactly enumerable (enumeration draws nothing). Estimating later at
-    /// the claim ([`SamplingProvider::estimate_at`]) gives the same bits as
-    /// estimating now.
+    /// exactly enumerable (enumeration draws nothing) — the bound
+    /// [`ComponentGraph::exact_reachability`] itself applies, so a component
+    /// past any enumerable size is sampled whatever the cap. Estimating
+    /// later at the claim ([`SamplingProvider::estimate_at`]) gives the same
+    /// bits as estimating now.
     pub(crate) fn claim(&mut self, snapshot: &ComponentGraph) -> Option<u64> {
-        if snapshot.uncertain_edge_count() <= self.config.exact_edge_cap {
+        if snapshot.exactly_enumerable(self.config.exact_edge_cap) {
             return None;
         }
         self.calls += 1;
@@ -222,6 +224,25 @@ mod tests {
         // Triangle has 3 uncertain edges > cap 2 → sampled.
         let est = p.estimate(&triangle_snapshot());
         assert!(!est.is_exact());
+    }
+
+    /// A 64-edge cycle at cap 64 is past what enumeration can index, so
+    /// the provider samples it instead of enumerating one wrapped world.
+    #[test]
+    fn a_cap_past_the_enumerable_size_samples() {
+        let mut b = GraphBuilder::new();
+        b.add_vertices(64, Weight::ONE);
+        let p = Probability::new(0.5).unwrap();
+        let edges: Vec<_> = (0..64)
+            .map(|i| b.add_edge(VertexId(i), VertexId((i + 1) % 64), p).unwrap())
+            .collect();
+        let cycle = ComponentGraph::build(&b.build(), VertexId(0), &edges);
+        let mut provider = SamplingProvider::new(EstimatorConfig::hybrid(64, 100), 1);
+        let est = provider.estimate(&cycle);
+        assert!(!est.is_exact());
+        assert_eq!(est.samples(), 100);
+        assert_eq!(provider.metrics.components_sampled, 1);
+        assert_eq!(provider.metrics.components_enumerated, 0);
     }
 
     #[test]

@@ -25,22 +25,27 @@
 //!   re-estimated; flow is evaluated with the fresh estimate *overriding* the
 //!   stored one — no tree mutation;
 //! * **Cases IIIb/IV** (structural): the probe applies the insertion to the
-//!   *shared* tree through the undo journal ([`FTree::apply`]), evaluates,
-//!   and rolls back bit-identically ([`FTree::rollback`]) — `O(touched
-//!   components)` per probe instead of the historical whole-tree clone.
-//!   One helper runs that apply for every caller. Before the apply builds
-//!   the formed component, it offers the component's fingerprint, AV and
-//!   edge sequence to a warm race lane that may already hold it, and takes
-//!   that snapshot, vertex map and estimate instead of building; otherwise
-//!   it builds and offers the new snapshot for an estimate (a provider, the
-//!   exact memo). Either way it scores inside the same apply when an
-//!   estimate is at hand. The rollback captures the applied state's images
-//!   into the plan, so a re-score at a new estimate swaps those images in
-//!   and out again instead of re-running the insertion: a structural probe
-//!   pays exactly one insertion however often it is scored, and a warm one
-//!   builds nothing. The clone-based path survives only as the pinned
-//!   reference ([`FTree::probe_plan_cloning`]) that benchmarks and
-//!   equivalence tests compare against.
+//!   *shared* tree through the undo journal ([`FTree::apply`]) and rolls
+//!   back bit-identically ([`FTree::rollback`]) — `O(touched components)`
+//!   per probe instead of the historical whole-tree clone. One helper runs
+//!   that apply for every caller. Before the apply builds the formed
+//!   component, it offers the component's fingerprint, AV and edge sequence
+//!   to a warm race lane that may already hold it, and takes that snapshot,
+//!   vertex map and estimate instead of building; otherwise it builds and
+//!   offers the new snapshot for an estimate (a provider, the exact memo).
+//!   The rollback captures the applied state's images into the plan, so a
+//!   commit replays them instead of re-running the insertion.
+//!
+//! Both sampled cases are scored by a [`ScoreProgram`] recorded when the
+//! plan is made (in the applied state, for a structural plan): a new
+//! estimate changes only the re-estimated component's own accumulator and
+//! one addition per ancestor on its path to `Q`, so a score — the first, or
+//! any race re-score — evaluates that program on the estimate and never
+//! reads or mutates the tree. A structural probe therefore pays exactly one
+//! insertion however often it is scored, and a warm one builds nothing.
+//! The clone-based path and the whole-forest scorers survive only as the
+//! pinned reference ([`FTree::probe_plan_cloning`]) that benchmarks and
+//! equivalence tests compare against.
 
 use std::sync::Arc;
 
@@ -48,8 +53,8 @@ use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
 use flowmax_sampling::{ComponentEstimate, ComponentGraph, LocalIdScratch};
 
 use super::{
-    CommitReplay, ComponentId, ComponentSource, Estimated, FTree, Formed, InsertCase, Journal,
-    Kind, LocalMap,
+    CommitReplay, ComponentId, ComponentSource, Estimated, FTree, Formed, InsertCase, Kind,
+    LocalMap,
 };
 use crate::error::CoreError;
 use crate::estimator::EstimateProvider;
@@ -66,7 +71,8 @@ use crate::estimator::EstimateProvider;
 /// sequence [`FTree::expected_flow`] would perform.
 ///
 /// The cache is pure working memory: excluded from tree equality, dropped
-/// on clone, and consulted only by the `*_cached` evaluators below.
+/// on clone, and consulted only by the drain and by score-program
+/// recording.
 #[derive(Debug, Default)]
 pub(crate) struct FlowCache {
     /// Cached accumulators per arena slot (`None`: free or never drained).
@@ -82,9 +88,9 @@ pub(crate) struct FlowCache {
     epoch: u64,
     /// Traversal scratch reused across evaluations.
     stack: Vec<(u32, bool)>,
-    /// Per-slot triple-lane scratch for probe overlays (never the
-    /// committed state — probes must not pollute `entries`).
-    overlay: Vec<(f64, f64, f64)>,
+    /// Per-slot subtree-flow scratch for score-program recording (never
+    /// the committed state — probes must not pollute `entries`).
+    sub: Vec<f64>,
     /// Seed-slot scratch reused across evaluations.
     seeds: Vec<u32>,
     /// Per arena slot: the stamp of the last drain that saw the slot or an
@@ -122,26 +128,25 @@ impl FlowCache {
     }
 }
 
-/// Sorted `(vertex, snapshot index)` lookup for an IIIa override snapshot,
-/// built once per evaluation so member lookups cost `O(log m)` instead of
-/// a linear scan of the snapshot's vertex list per member.
-fn override_order(snapshot: &ComponentGraph) -> Vec<(VertexId, u32)> {
-    let mut order: Vec<(VertexId, u32)> = snapshot
-        .vertices()
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, i as u32))
-        .collect();
-    order.sort_unstable_by_key(|&(v, _)| v);
-    order
-}
-
-#[inline]
-fn override_position(order: &[(VertexId, u32)], v: VertexId) -> usize {
-    let at = order
-        .binary_search_by_key(&v, |&(w, _)| w)
-        .expect("override snapshot covers the component's vertices");
-    order[at].1 as usize
+/// `Σ reach · weight` over `cid`'s members in member order: the accumulator
+/// every evaluator starts a component from.
+fn member_flow(tree: &FTree, graph: &ProbabilisticGraph, cid: ComponentId) -> f64 {
+    let mut acc = 0.0;
+    match &tree.comp(cid).kind {
+        Kind::Mono { members } => {
+            for (&v, member) in members.iter() {
+                acc += member.reach * graph.weight(v).value();
+            }
+        }
+        Kind::Bi {
+            estimate, local, ..
+        } => {
+            for &(v, l) in local.iter() {
+                acc += estimate.reach(l as usize) * graph.weight(v).value();
+            }
+        }
+    }
+    acc
 }
 
 /// Opens a new evaluation epoch: every live seed slot is marked
@@ -238,20 +243,7 @@ fn drain_marked(tree: &FTree, cache: &mut FlowCache, graph: &ProbabilisticGraph)
         }
         let idx = slot as usize;
         let member_sum = if cache.member_dirty(idx) || cache.entries[idx].is_none() {
-            let mut acc = 0.0;
-            match &comp.kind {
-                Kind::Mono { members } => {
-                    for &v in members.keys() {
-                        acc += tree.reach_in(cid, v) * graph.weight(v).value();
-                    }
-                }
-                Kind::Bi { local, .. } => {
-                    for &v in local.keys() {
-                        acc += tree.reach_in(cid, v) * graph.weight(v).value();
-                    }
-                }
-            }
-            acc
+            member_flow(tree, graph, cid)
         } else {
             cache.entries[idx]
                 .expect("entry presence just checked")
@@ -269,122 +261,218 @@ fn drain_marked(tree: &FTree, cache: &mut FlowCache, graph: &ProbabilisticGraph)
     cache.stack = stack;
 }
 
-/// Triple-lane `O(touched)` evaluation for probes: marked subtrees are
-/// re-aggregated bottom-up into the overlay scratch (the committed
-/// `entries` are never written), unmarked subtrees contribute their cached
-/// subtree flow to all three lanes — valid because an unmarked component's
-/// three lanes are identical (the bounded component and every journal
-/// touch are marked). Returns `(point, lower, upper)` totals.
-fn overlay_flow_triple(
-    tree: &FTree,
-    cache: &mut FlowCache,
-    graph: &ProbabilisticGraph,
-    include_query: bool,
-    reach3: &dyn Fn(ComponentId, VertexId) -> (f64, f64, f64),
-) -> (f64, f64, f64) {
-    if cache.overlay.len() < tree.arena.len() {
-        cache.overlay.resize(tree.arena.len(), (0.0, 0.0, 0.0));
+/// What a sampled probe's score needs that its estimate cannot change,
+/// recorded once when the plan is made.
+///
+/// Flow is a bottom-up sum over components (Theorem 2 + Lemma 1), so a new
+/// estimate for the re-estimated component `c` changes `c`'s own
+/// accumulator and, through it, one addition per ancestor on `c`'s path to
+/// `Q`; everything off that path is a scalar the program records.
+/// [`ScoreProgram::eval`] runs the floating-point operations the
+/// whole-forest triple traversal runs for `c`, its ancestors and the
+/// roots, in the same order on the same operands, so its `(point, lower,
+/// upper)` flows are bit-identical to that traversal's.
+#[derive(Debug)]
+struct ScoreProgram {
+    /// `c`'s accumulator terms, each added as `reach · factor`: its members
+    /// in member order as `(index into the estimate, weight)`, then its
+    /// children in child order as `(index of the child's AV, child subtree
+    /// flow)`.
+    terms: Vec<(u32, f64)>,
+    /// `c`'s ancestors, innermost first.
+    ancestors: Vec<AncestorStep>,
+    /// What is added after the path's value, in order: each ancestor's
+    /// products `reach · subtree flow` of the children after its path
+    /// child, then the subtree flows of the roots after the path's root.
+    tail: Vec<f64>,
+    /// The sum of the roots before the one on `c`'s path, started from `0`
+    /// and from `W(Q)` (indexed by `include_query`).
+    prefix: [f64; 2],
+}
+
+/// One ancestor's share of a [`ScoreProgram`].
+#[derive(Debug, Clone, Copy)]
+struct AncestorStep {
+    /// The ancestor's accumulator before its path child is added.
+    pre: f64,
+    /// The path child's AV reach within the ancestor.
+    reach: f64,
+    /// How many entries of [`ScoreProgram::tail`] follow the path child.
+    later: u32,
+}
+
+impl ScoreProgram {
+    /// `(point, lower, upper)` flow with `c` at `estimate`'s point
+    /// estimate and its `1 − α` bounds.
+    fn eval(
+        &self,
+        estimate: &ComponentEstimate,
+        alpha: f64,
+        include_query: bool,
+    ) -> (f64, f64, f64) {
+        let reach3 = |l: u32| {
+            let ci = estimate.interval(l as usize, alpha);
+            [estimate.reach(l as usize), ci.lower, ci.upper]
+        };
+        let mut acc = [0.0f64; 3];
+        for &(l, x) in &self.terms {
+            for (a, r) in acc.iter_mut().zip(reach3(l)) {
+                *a += r * x;
+            }
+        }
+        let mut tail = self.tail.iter();
+        for step in &self.ancestors {
+            for a in &mut acc {
+                *a = step.pre + step.reach * *a;
+            }
+            for &p in tail.by_ref().take(step.later as usize) {
+                for a in &mut acc {
+                    *a += p;
+                }
+            }
+        }
+        let mut total = [self.prefix[include_query as usize]; 3];
+        for (t, a) in total.iter_mut().zip(acc) {
+            *t += a;
+        }
+        for &s in tail {
+            for t in &mut total {
+                *t += s;
+            }
+        }
+        (total[0], total[1], total[2])
     }
-    let mut stack = std::mem::take(&mut cache.stack);
-    stack.clear();
-    for &r in &tree.roots {
-        if cache.marked(r.index()) {
-            stack.push((r.0, false));
+}
+
+/// The scalar flows a [`ScoreProgram`] records for components off the
+/// re-estimated component's path. With a flow cache, an unmarked component
+/// is served its cached subtree flow, a marked one is re-aggregated into
+/// the `sub` scratch, and an ancestor-dirty one resumes from its cached
+/// member sum — the drain's rules, one lane. Without a cache, every
+/// component is re-aggregated.
+struct Aggregator<'a> {
+    tree: &'a FTree,
+    graph: &'a ProbabilisticGraph,
+    cache: Option<&'a FlowCache>,
+    sub: &'a mut Vec<f64>,
+    stack: &'a mut Vec<(u32, bool)>,
+}
+
+impl Aggregator<'_> {
+    /// Whether `c` must be re-aggregated rather than served from the cache.
+    fn stale(&self, c: ComponentId) -> bool {
+        self.cache.is_none_or(|k| k.marked(c.index()))
+    }
+
+    fn cached_sub(&self, c: ComponentId) -> f64 {
+        self.cache
+            .and_then(|k| k.entries.get(c.index()).copied().flatten())
+            .expect("a clean component has a cache entry")
+            .sub
+    }
+
+    /// The accumulator after `c`'s member loop.
+    fn member_sum(&self, c: ComponentId) -> f64 {
+        let cached = self
+            .cache
+            .filter(|k| !k.member_dirty(c.index()))
+            .and_then(|k| k.entries.get(c.index()).copied().flatten());
+        match cached {
+            Some(entry) => entry.member_sum,
+            None => member_flow(self.tree, self.graph, c),
         }
     }
-    while let Some((slot, exit)) = stack.pop() {
-        let cid = ComponentId(slot);
-        let comp = tree.comp(cid);
-        if !exit {
-            stack.push((slot, true));
+
+    /// The subtree flow of `root`, a component off the path.
+    fn subtree(&mut self, root: ComponentId) -> f64 {
+        if !self.stale(root) {
+            return self.cached_sub(root);
+        }
+        let tree = self.tree;
+        self.stack.clear();
+        self.stack.push((root.0, false));
+        while let Some((slot, exit)) = self.stack.pop() {
+            let cid = ComponentId(slot);
+            let comp = tree.comp(cid);
+            if !exit {
+                self.stack.push((slot, true));
+                for &ch in &comp.children {
+                    if self.stale(ch) {
+                        self.stack.push((ch.0, false));
+                    }
+                }
+                continue;
+            }
+            let mut acc = self.member_sum(cid);
             for &ch in &comp.children {
-                if cache.marked(ch.index()) {
-                    stack.push((ch.0, false));
-                }
+                let s = if self.stale(ch) {
+                    self.sub[ch.index()]
+                } else {
+                    self.cached_sub(ch)
+                };
+                acc += tree.reach_in(cid, tree.comp(ch).articulation) * s;
             }
-            continue;
+            self.sub[slot as usize] = acc;
         }
-        let idx = slot as usize;
-        let (mut a0, mut a1, mut a2) = if cache.member_dirty(idx) {
-            let (mut a0, mut a1, mut a2) = (0.0, 0.0, 0.0);
-            let mut add = |v: VertexId| {
-                let (r0, r1, r2) = reach3(cid, v);
-                let w = graph.weight(v).value();
-                a0 += r0 * w;
-                a1 += r1 * w;
-                a2 += r2 * w;
-            };
-            match &comp.kind {
-                Kind::Mono { members } => {
-                    for &v in members.keys() {
-                        add(v);
-                    }
-                }
-                Kind::Bi { local, .. } => {
-                    for &v in local.keys() {
-                        add(v);
-                    }
-                }
-            }
-            (a0, a1, a2)
-        } else {
-            // Ancestor-dirty: members and their reaches are untouched, so
-            // the cached single-lane member sum is bit-identical to what
-            // each lane would recompute.
-            let ms = cache
-                .entries
-                .get(idx)
-                .copied()
-                .flatten()
-                .expect("ancestor-dirty component has a cache entry")
-                .member_sum;
-            (ms, ms, ms)
-        };
+        self.sub[root.index()]
+    }
+
+    /// Records the program of bi component `cid`, whose members and child
+    /// AVs index the estimate through `local`.
+    fn program(&mut self, cid: ComponentId, local: &LocalMap) -> ScoreProgram {
+        let (tree, graph) = (self.tree, self.graph);
+        let comp = tree.comp(cid);
+        let mut terms = Vec::with_capacity(local.len() + comp.children.len());
+        terms.extend(local.iter().map(|&(v, l)| (l, graph.weight(v).value())));
         for &ch in &comp.children {
-            let (s0, s1, s2) = if cache.marked(ch.index()) {
-                cache.overlay[ch.index()]
-            } else {
-                let s = cache
-                    .entries
-                    .get(ch.index())
-                    .copied()
-                    .flatten()
-                    .expect("clean child has a cache entry")
-                    .sub;
-                (s, s, s)
-            };
-            let (r0, r1, r2) = reach3(cid, tree.comp(ch).articulation);
-            a0 += r0 * s0;
-            a1 += r1 * s1;
-            a2 += r2 * s2;
+            terms.push((local[&tree.comp(ch).articulation], self.subtree(ch)));
         }
-        cache.overlay[idx] = (a0, a1, a2);
+        let mut ancestors = Vec::new();
+        let mut tail = Vec::new();
+        let (mut below, mut up) = (cid, comp.parent);
+        while let Some(a) = up {
+            let node = tree.comp(a);
+            let mut pre = self.member_sum(a);
+            let mut rest = node.children.iter();
+            for &ch in rest.by_ref() {
+                if ch == below {
+                    break;
+                }
+                pre += tree.reach_in(a, tree.comp(ch).articulation) * self.subtree(ch);
+            }
+            let before = tail.len();
+            for &ch in rest {
+                tail.push(tree.reach_in(a, tree.comp(ch).articulation) * self.subtree(ch));
+            }
+            ancestors.push(AncestorStep {
+                pre,
+                reach: tree.reach_in(a, tree.comp(below).articulation),
+                later: (tail.len() - before) as u32,
+            });
+            below = a;
+            up = node.parent;
+        }
+        let mut prefix = [0.0, graph.weight(tree.query).value()];
+        let mut roots = tree.roots.iter();
+        for &r in roots.by_ref() {
+            if r == below {
+                break;
+            }
+            let s = self.subtree(r);
+            for p in &mut prefix {
+                *p += s;
+            }
+        }
+        for &r in roots {
+            tail.push(self.subtree(r));
+        }
+        ScoreProgram {
+            terms,
+            ancestors,
+            tail,
+            prefix,
+        }
     }
-    cache.stack = stack;
-    let base = if include_query {
-        graph.weight(tree.query).value()
-    } else {
-        0.0
-    };
-    let (mut t0, mut t1, mut t2) = (base, base, base);
-    for &r in &tree.roots {
-        let (s0, s1, s2) = if cache.marked(r.index()) {
-            cache.overlay[r.index()]
-        } else {
-            let s = cache
-                .entries
-                .get(r.index())
-                .copied()
-                .flatten()
-                .expect("clean root has a cache entry")
-                .sub;
-            (s, s, s)
-        };
-        t0 += s0;
-        t1 += s1;
-        t2 += s2;
-    }
-    (t0, t1, t2)
 }
 
 /// Result of probing a candidate edge without committing it (§6.1 Eq. 5).
@@ -419,41 +507,41 @@ pub enum ProbePlan {
 /// The deferred half of a sampled probe: which component must be estimated,
 /// and how to turn an estimate into a flow score.
 ///
-/// A journal-based structural plan keeps the redo images its planning apply
-/// captured. Scoring swaps them into the shared tree as a journalled
-/// insertion, sets the estimate, evaluates and swaps them out again — no
-/// insertion runs. The plan is therefore only valid while the tree it was
-/// created from is unchanged (the invariant every selection iteration
-/// already maintains).
+/// A journal-engine plan holds the score program recorded when it was
+/// made, and a structural one also the redo images its planning apply
+/// captured. Scoring evaluates the program and touches no tree; the plan
+/// keeps the latest estimate for its images. The plan is only valid while
+/// the tree it was created from is unchanged (the invariant every
+/// selection iteration already maintains).
 #[derive(Debug)]
 pub struct SampledProbe {
     snapshot: Arc<ComponentGraph>,
     cost_edges: usize,
+    case: InsertCase,
     kind: SampledKind,
 }
 
+#[allow(clippy::large_enum_variant)] // The plan is boxed already, and the
+// small variants serve only the reference engine.
 #[derive(Debug)]
 enum SampledKind {
-    /// Case IIIa: re-estimate one existing bi component; flow is evaluated
-    /// on the *original* tree with the estimate overriding the stored one.
-    InBi { cid: ComponentId },
-    /// Cases IIIb/IV, journal-based (the default): the applied state's
-    /// images (`None` once a probe record took them for its commit) and
-    /// the formed component's vertex map.
-    Structural {
-        case: InsertCase,
+    /// The journal engine (cases IIIa, IIIb and IV): the recorded program,
+    /// the snapshot's vertex map, and for a structural plan the applied
+    /// state's images (`None` once a probe record took them for its
+    /// commit) with the estimate of the latest score, which they lack.
+    Recorded {
+        program: ScoreProgram,
         local: Arc<LocalMap>,
         images: Option<CommitReplay>,
+        latest: Option<ComponentEstimate>,
     },
+    /// Case IIIa, the pinned reference: a whole-forest traversal of the
+    /// original tree with the estimate overriding the stored one.
+    InBiReference { cid: ComponentId },
     /// Cases IIIb/IV, the pinned clone-based reference: the probe's tree
-    /// clone with the candidate inserted and the estimate still pending.
-    /// Kept selectable so benchmarks and tests can compare engines (boxed:
-    /// the journal variants carry no tree).
-    StructuralCloned {
-        tree: Box<FTree>,
-        cid: ComponentId,
-        case: InsertCase,
-    },
+    /// clone with the candidate inserted and the estimate still pending
+    /// (boxed: the other variants carry no tree).
+    StructuralCloned { tree: Box<FTree>, cid: ComponentId },
 }
 
 impl SampledProbe {
@@ -469,11 +557,11 @@ impl SampledProbe {
         &self.snapshot
     }
 
-    /// The snapshot's vertex → local-index map: the formed component's own
-    /// for a journal structural plan, built here for the others.
+    /// The snapshot's vertex → local-index map: the one a journal-engine
+    /// plan recorded its program with, built here for the others.
     pub(crate) fn local_map(&self) -> Arc<LocalMap> {
         match &self.kind {
-            SampledKind::Structural { local, .. } => Arc::clone(local),
+            SampledKind::Recorded { local, .. } => Arc::clone(local),
             _ => Arc::new(LocalMap::from_snapshot(self.snapshot.vertices())),
         }
     }
@@ -485,11 +573,7 @@ impl SampledProbe {
 
     /// The structural case the insertion would take.
     pub fn case(&self) -> InsertCase {
-        match &self.kind {
-            SampledKind::InBi { .. } => InsertCase::CycleInBi,
-            SampledKind::Structural { case, .. } => *case,
-            SampledKind::StructuralCloned { case, .. } => *case,
-        }
+        self.case
     }
 
     /// The redo images of a journal structural plan, holding the estimate
@@ -497,10 +581,14 @@ impl SampledProbe {
     /// replaying them instead of re-running the insertion. `None` for
     /// other plans, and after the first call.
     pub(crate) fn take_replay(&mut self) -> Option<CommitReplay> {
-        match &mut self.kind {
-            SampledKind::Structural { images, .. } => images.take(),
-            _ => None,
+        let SampledKind::Recorded { images, latest, .. } = &mut self.kind else {
+            return None;
+        };
+        let mut replay = images.take()?;
+        if let Some(estimate) = latest.take() {
+            replay.set_estimate(estimate);
         }
+        Some(replay)
     }
 
     /// Scores the probe under `estimate`: the flow the tree would have with
@@ -508,55 +596,38 @@ impl SampledProbe {
     ///
     /// Callable repeatedly — racing rounds re-score with growing-budget
     /// estimates; only the latest call's estimate is retained. `tree` must
-    /// be the tree the plan was created from, **unchanged since** — a
-    /// journal-based structural score swaps the plan's images into it and
-    /// out again before returning, so the tree reads unmodified afterwards.
+    /// be the tree the plan was created from, **unchanged since**; only a
+    /// reference-engine case-IIIa plan reads it, and no plan writes it.
     pub fn score(
         &mut self,
-        tree: &mut FTree,
+        tree: &FTree,
         graph: &ProbabilisticGraph,
         include_query: bool,
         alpha: f64,
         estimate: ComponentEstimate,
     ) -> ProbeOutcome {
         let (flow, lower, upper) = match &mut self.kind {
-            SampledKind::InBi { cid } => {
-                if tree.flow_cache_enabled() {
-                    tree.flow_with_override_bounds_cached(
-                        graph,
-                        include_query,
-                        *cid,
-                        &self.snapshot,
-                        &estimate,
-                        alpha,
-                    )
-                } else {
-                    tree.flow_with_override_bounds(
-                        graph,
-                        include_query,
-                        *cid,
-                        &self.snapshot,
-                        &estimate,
-                        alpha,
-                    )
+            SampledKind::Recorded {
+                program,
+                images,
+                latest,
+                ..
+            } => {
+                let bounds = program.eval(&estimate, alpha, include_query);
+                if images.is_some() {
+                    *latest = Some(estimate);
                 }
-            }
-            SampledKind::Structural { images, .. } => {
-                // The images are the applied state: swapping them in
-                // reproduces the planning apply's tree and touched slots,
-                // so the evaluation is the one a re-apply would run.
-                let replay = images
-                    .take()
-                    .expect("a structural plan keeps its images until its record takes them");
-                let (cid, journal) = tree.swap_in(replay);
-                tree.set_bi_estimate(cid, estimate);
-                let bounds = tree.applied_flow_bounds(graph, include_query, cid, alpha, &journal);
-                *images = Some(tree.rollback_capturing(journal, cid));
                 bounds
             }
-            SampledKind::StructuralCloned {
-                tree: clone, cid, ..
-            } => {
+            SampledKind::InBiReference { cid } => tree.flow_with_override_bounds(
+                graph,
+                include_query,
+                *cid,
+                &self.snapshot,
+                &estimate,
+                alpha,
+            ),
+            SampledKind::StructuralCloned { tree: clone, cid } => {
                 clone.set_bi_estimate(*cid, estimate);
                 clone.flow_with_bounds(graph, include_query, *cid, alpha)
             }
@@ -565,7 +636,7 @@ impl SampledProbe {
             flow,
             lower,
             upper,
-            case: self.case(),
+            case: self.case,
             sampling_cost_edges: self.cost_edges,
         }
     }
@@ -635,10 +706,10 @@ impl ComponentSource for ProbeSource<'_> {
     }
 }
 
-/// Scoring inside a structural probe's own apply: `at_hand` is offered the
+/// Scoring with a structural probe's own apply: `at_hand` is offered the
 /// formed component before it is built, then its built snapshot, and when
-/// either answers the candidate is scored before the rollback instead of
-/// by swapping the plan's images back in later.
+/// either answers the candidate is scored as soon as its program is
+/// recorded, instead of by a later [`SampledProbe::score`].
 pub(crate) struct InApplyScore<'a> {
     pub(crate) include_query: bool,
     pub(crate) alpha: f64,
@@ -717,9 +788,9 @@ impl FTree {
     /// Bit-identical to running [`FTree::expected_flow`] plus
     /// [`FTree::flow_bounds_for_component`] — the traversal order is purely
     /// structural, the three accumulators are independent, and the interval
-    /// is a pure function of the stored counts — but three times cheaper:
-    /// this is what every sampled probe pays per score, thousands of times
-    /// per greedy iteration.
+    /// is a pure function of the stored counts — but three times cheaper.
+    /// This is how the clone-based reference engine scores a structural
+    /// probe, and what a [`ScoreProgram`] is held bit-identical to.
     pub(crate) fn flow_with_bounds(
         &self,
         graph: &ProbabilisticGraph,
@@ -764,7 +835,7 @@ impl FTree {
         estimate: &ComponentEstimate,
         alpha: f64,
     ) -> (f64, f64, f64) {
-        let order = override_order(snapshot);
+        let order = LocalMap::from_snapshot(snapshot.vertices());
         self.flow_forest_triple(graph, include_query, &|c, v| {
             let comp = self.comp(c);
             if v == comp.articulation {
@@ -774,7 +845,7 @@ impl FTree {
                 let r = self.reach_in(c, v);
                 return (r, r, r);
             }
-            let local = override_position(&order, v);
+            let local = order[&v] as usize;
             let ci = estimate.interval(local, alpha);
             (estimate.reach(local), ci.lower, ci.upper)
         })
@@ -786,7 +857,7 @@ impl FTree {
     /// first (ascending member order), then child subtree flows scaled by
     /// each child AV's reach (child-list order) — the canonical operation
     /// sequence every evaluator in this module shares, which is what makes
-    /// cached, overlay and fresh results bitwise comparable.
+    /// cached, recorded and fresh results bitwise comparable.
     ///
     /// Debug builds count every call ([`FTree::debug_full_flow_eval_count`])
     /// so the incremental selection loop can assert it never falls back to
@@ -911,17 +982,12 @@ impl FTree {
     /// Switches this tree to incremental flow accounting: every live slot
     /// is queued dirty so the first [`FTree::flow_cached_total`] populates
     /// the cache, and subsequent commits keep it fresh via
-    /// [`FTree::cache_mark_dirty`]. Probes evaluate `O(touched)` through
-    /// the overlay scratch without ever writing committed entries.
+    /// [`FTree::cache_mark_dirty`]. Probes record their score programs
+    /// `O(touched)` from it without ever writing committed entries.
     pub(crate) fn enable_flow_cache(&mut self) {
         let mut cache = Box::<FlowCache>::default();
         cache.dirty.extend(self.component_ids().map(|c| c.0));
         self.flow_cache = Some(cache);
-    }
-
-    /// Whether incremental flow accounting is enabled.
-    pub(crate) fn flow_cache_enabled(&self) -> bool {
-        self.flow_cache.is_some()
     }
 
     /// Queues arena slots whose members or estimates changed, for
@@ -1014,103 +1080,6 @@ impl FTree {
         let stamp = *cache.stamp.get(self.owner(v)?.index())?;
         (stamp != 0 && cache.reach_stamp.get(v.index()) == Some(&stamp))
             .then(|| cache.reach[v.index()])
-    }
-
-    /// The incremental counterpart of [`FTree::flow_with_bounds`], for
-    /// structural probes evaluated while their journalled apply is still in
-    /// place: only the journal's touched components and their ancestors are
-    /// re-aggregated, triple-lane, into the overlay scratch — committed
-    /// entries are never written. Bit-identical to the fresh traversal.
-    pub(crate) fn flow_with_bounds_cached(
-        &mut self,
-        graph: &ProbabilisticGraph,
-        include_query: bool,
-        cid: ComponentId,
-        alpha: f64,
-        journal: &Journal,
-    ) -> (f64, f64, f64) {
-        let mut cache = self.flow_cache.take().expect("flow cache enabled");
-        debug_assert!(
-            cache.dirty.is_empty(),
-            "probe evaluation requires a drained flow cache"
-        );
-        let mut seeds = std::mem::take(&mut cache.seeds);
-        seeds.clear();
-        seeds.extend(journal.touched_slot_ids());
-        let result = {
-            let tree = &*self;
-            mark_touched(tree, &mut cache, &seeds);
-            overlay_flow_triple(tree, &mut cache, graph, include_query, &|c, v| {
-                let comp = tree.comp(c);
-                if v == comp.articulation {
-                    return (1.0, 1.0, 1.0);
-                }
-                if c != cid {
-                    let r = tree.reach_in(c, v);
-                    return (r, r, r);
-                }
-                match &comp.kind {
-                    Kind::Mono { members } => {
-                        let r = members[&v].reach;
-                        (r, r, r)
-                    }
-                    Kind::Bi {
-                        estimate, local, ..
-                    } => {
-                        let l = local[&v] as usize;
-                        let ci = estimate.interval(l, alpha);
-                        (estimate.reach(l), ci.lower, ci.upper)
-                    }
-                }
-            })
-        };
-        cache.seeds = seeds;
-        self.flow_cache = Some(cache);
-        result
-    }
-
-    /// The incremental counterpart of [`FTree::flow_with_override_bounds`]
-    /// (IIIa probes): only component `cid` — evaluated under the override
-    /// estimate — and its ancestors are re-aggregated. The tree itself is
-    /// untouched, so no journal is involved.
-    fn flow_with_override_bounds_cached(
-        &mut self,
-        graph: &ProbabilisticGraph,
-        include_query: bool,
-        cid: ComponentId,
-        snapshot: &ComponentGraph,
-        estimate: &ComponentEstimate,
-        alpha: f64,
-    ) -> (f64, f64, f64) {
-        let mut cache = self.flow_cache.take().expect("flow cache enabled");
-        debug_assert!(
-            cache.dirty.is_empty(),
-            "probe evaluation requires a drained flow cache"
-        );
-        let mut seeds = std::mem::take(&mut cache.seeds);
-        seeds.clear();
-        seeds.push(cid.0);
-        let order = override_order(snapshot);
-        let result = {
-            let tree = &*self;
-            mark_touched(tree, &mut cache, &seeds);
-            overlay_flow_triple(tree, &mut cache, graph, include_query, &|c, v| {
-                let comp = tree.comp(c);
-                if v == comp.articulation {
-                    return (1.0, 1.0, 1.0);
-                }
-                if c != cid {
-                    let r = tree.reach_in(c, v);
-                    return (r, r, r);
-                }
-                let local = override_position(&order, v);
-                let ci = estimate.interval(local, alpha);
-                (estimate.reach(local), ci.lower, ci.upper)
-            })
-        };
-        cache.seeds = seeds;
-        self.flow_cache = Some(cache);
-        result
     }
 
     /// Evaluates the flow the tree would have after inserting `e`, without
@@ -1286,10 +1255,22 @@ impl FTree {
                 let av = self.comp(cid).articulation;
                 let snapshot =
                     FTree::build_snapshot(graph, av, &probe_edges, &mut self.local_scratch);
+                let kind = if matches!(mode, PlanMode::Cloning) {
+                    SampledKind::InBiReference { cid }
+                } else {
+                    let local = Arc::new(LocalMap::from_snapshot(snapshot.vertices()));
+                    SampledKind::Recorded {
+                        program: self.record_program(graph, cid, &local, [cid.0].into_iter()),
+                        local,
+                        images: None,
+                        latest: None,
+                    }
+                };
                 let plan = SampledProbe {
                     snapshot: Arc::new(snapshot),
                     cost_edges: probe_edges.len(),
-                    kind: SampledKind::InBi { cid },
+                    case: InsertCase::CycleInBi,
+                    kind,
                 };
                 Ok((ProbePlan::Sampled(Box::new(plan)), None))
             }
@@ -1309,10 +1290,10 @@ impl FTree {
                     let plan = SampledProbe {
                         snapshot: Arc::clone(snapshot),
                         cost_edges: report.sampled_edge_count,
+                        case: report.case,
                         kind: SampledKind::StructuralCloned {
                             tree: Box::new(clone),
                             cid,
-                            case: report.case,
                         },
                     };
                     Ok((ProbePlan::Sampled(Box::new(plan)), None))
@@ -1328,13 +1309,12 @@ impl FTree {
     /// The one journalled structural probe (cases IIIb/IV) behind every
     /// journal-engine entry point: applies `e` to the shared tree, taking
     /// the formed component ready-made from `score` when it holds one and
-    /// otherwise building it with the estimate deferred and offering the
-    /// new snapshot to `score`. When an estimate is at hand, the candidate
-    /// is scored while the insertion is still in place. The rollback then
+    /// otherwise building it with the estimate deferred. The plan's
+    /// [`ScoreProgram`] is recorded in the applied state; the rollback then
     /// restores the tree bit-identically and captures the applied state's
-    /// images into the returned plan, so a later
-    /// [`SampledProbe::score`] re-scores at a new estimate by swapping them
-    /// back in, and a commit replays them.
+    /// images into the returned plan, for a commit to replay. When `score`
+    /// served the component, or holds an estimate for the new snapshot, the
+    /// candidate is scored here as well.
     fn probe_structural(
         &mut self,
         graph: &ProbabilisticGraph,
@@ -1353,66 +1333,108 @@ impl FTree {
             .component
             .expect("cycle insertions always produce a bi component");
         let Kind::Bi {
-            snapshot, local, ..
+            snapshot,
+            local,
+            estimate,
+            ..
         } = &self.comp(cid).kind
         else {
             unreachable!("cycle insertions always produce a bi component")
         };
         let (snapshot, local) = (Arc::clone(snapshot), Arc::clone(local));
-        let mut outcome = None;
-        if let Some(InApplyScore {
-            include_query,
-            alpha,
-            at_hand,
-        }) = score
-        {
-            let estimated = served
-                || at_hand
-                    .estimate(&snapshot)
-                    .map(|estimate| self.set_bi_estimate(cid, estimate))
-                    .is_some();
-            if estimated {
-                let (flow, lower, upper) =
-                    self.applied_flow_bounds(graph, include_query, cid, alpha, &journal);
-                outcome = Some(ProbeOutcome {
+        let served = served.then(|| Arc::clone(estimate));
+        let program = self.record_program(graph, cid, &local, journal.touched_slot_ids());
+        let images = self.rollback_capturing(journal, cid);
+        let mut latest = None;
+        let outcome = score.and_then(
+            |InApplyScore {
+                 include_query,
+                 alpha,
+                 at_hand,
+             }| {
+                let (flow, lower, upper) = match served {
+                    Some(estimate) => program.eval(&estimate, alpha, include_query),
+                    None => {
+                        let estimate = at_hand.estimate(&snapshot)?;
+                        let bounds = program.eval(&estimate, alpha, include_query);
+                        latest = Some(estimate);
+                        bounds
+                    }
+                };
+                Some(ProbeOutcome {
                     flow,
                     lower,
                     upper,
                     case: report.case,
                     sampling_cost_edges: report.sampled_edge_count,
-                });
-            }
-        }
-        let images = self.rollback_capturing(journal, cid);
+                })
+            },
+        );
         let plan = SampledProbe {
             snapshot,
             cost_edges: report.sampled_edge_count,
-            kind: SampledKind::Structural {
-                case: report.case,
+            case: report.case,
+            kind: SampledKind::Recorded {
+                program,
                 local,
                 images: Some(images),
+                latest,
             },
         };
         (plan, outcome)
     }
 
-    /// `(point, lower, upper)` flow of the tree while a journalled
-    /// insertion forming bi component `cid` is in place:
-    /// `O(touched)` through the flow cache when it is enabled, one
-    /// whole-forest traversal otherwise.
-    fn applied_flow_bounds(
+    /// Records the [`ScoreProgram`] of bi component `cid`, whose members
+    /// and child AVs index the estimate through `local`: the component's
+    /// own map in a structural probe's applied state, the probe snapshot's
+    /// for a case-IIIa plan. `seeds` are the slots whose members changed
+    /// since the flow cache's last drain (the journal's touched slots, or
+    /// `cid` alone); the program is then recorded `O(touched)` from the
+    /// cache. Without a cache, it is one whole-forest traversal.
+    fn record_program(
         &mut self,
         graph: &ProbabilisticGraph,
-        include_query: bool,
         cid: ComponentId,
-        alpha: f64,
-        journal: &Journal,
-    ) -> (f64, f64, f64) {
-        if self.flow_cache_enabled() {
-            self.flow_with_bounds_cached(graph, include_query, cid, alpha, journal)
-        } else {
-            self.flow_with_bounds(graph, include_query, cid, alpha)
+        local: &LocalMap,
+        seeds: impl Iterator<Item = u32>,
+    ) -> ScoreProgram {
+        let mut cache = self.flow_cache.take();
+        let (mut sub, mut stack) = match cache.as_deref_mut() {
+            Some(k) => {
+                debug_assert!(
+                    k.dirty.is_empty(),
+                    "probe evaluation requires a drained flow cache"
+                );
+                let mut marks = std::mem::take(&mut k.seeds);
+                marks.clear();
+                marks.extend(seeds);
+                mark_touched(self, k, &marks);
+                k.seeds = marks;
+                (std::mem::take(&mut k.sub), std::mem::take(&mut k.stack))
+            }
+            None => {
+                #[cfg(debug_assertions)]
+                FTree::note_full_flow_eval();
+                (Vec::new(), Vec::new())
+            }
+        };
+        if sub.len() < self.arena.len() {
+            sub.resize(self.arena.len(), 0.0);
         }
+        let program = Aggregator {
+            tree: self,
+            graph,
+            cache: cache.as_deref(),
+            sub: &mut sub,
+            stack: &mut stack,
+        }
+        .program(cid, local);
+        if let Some(k) = cache.as_deref_mut() {
+            k.sub = sub;
+            k.stack = stack;
+        }
+        self.flow_cache = cache;
+        program
     }
 }
 
@@ -1675,7 +1697,7 @@ mod tests {
                 assert_eq!(
                     a.flow.to_bits(),
                     b.flow.to_bits(),
-                    "overlay flow of {cand:?} before e{e}: {} vs {}",
+                    "probe flow of {cand:?} before e{e}: {} vs {}",
                     a.flow,
                     b.flow
                 );
@@ -1816,12 +1838,13 @@ mod tests {
         );
     }
 
-    /// Scoring a journal structural plan swaps its images in and out: two
-    /// scores at two estimates insert nothing, leave the tree equal to a
-    /// clone taken before the plan, and equal the clone-based reference's
-    /// scores bit for bit.
+    /// Scoring a journal structural plan evaluates its recorded program:
+    /// two scores at two estimates insert nothing, leave the tree equal to
+    /// a clone taken before the plan, and equal the clone-based reference's
+    /// scores bit for bit. The images the plan hands out carry the last
+    /// score's estimate, so their replay equals the reference's insertion.
     #[test]
-    fn structural_scores_swap_images_without_inserting() {
+    fn structural_scores_evaluate_the_program_without_inserting() {
         use crate::estimator::EstimateProvider;
         let g = crate::ftree::goldens::figure3_graph();
         let mut tree = FTree::new(&g, VertexId(0));
@@ -1849,8 +1872,8 @@ mod tests {
             let inserts = FTree::debug_structural_insert_count();
             let mut flows = Vec::new();
             for estimate in estimates {
-                let a = plan.score(&mut tree, &g, false, 0.01, estimate.clone());
-                let b = cloned.score(&mut reference, &g, false, 0.01, estimate);
+                let a = plan.score(&tree, &g, false, 0.01, estimate.clone());
+                let b = cloned.score(&reference, &g, false, 0.01, estimate);
                 assert_eq!(a.case, b.case);
                 assert_eq!(a.flow.to_bits(), b.flow.to_bits());
                 assert_eq!(a.lower.to_bits(), b.lower.to_bits());
@@ -1861,7 +1884,16 @@ mod tests {
             #[cfg(debug_assertions)]
             assert_eq!(FTree::debug_structural_insert_count(), inserts);
             assert_ne!(flows[0], flows[1], "the two estimates differ");
-            assert!(plan.take_replay().is_some(), "the plan keeps its images");
+            let replay = plan.take_replay().expect("the plan keeps its images");
+            let SampledKind::StructuralCloned { tree: inserted, .. } = &cloned.kind else {
+                panic!("the reference plan holds its inserted clone");
+            };
+            let mut committed = before.clone();
+            committed.commit_replay(replay);
+            assert!(
+                committed == **inserted,
+                "the replay commits the last score's estimate"
+            );
         }
     }
 
@@ -1871,7 +1903,7 @@ mod tests {
 
         /// A spanning tree over `n` vertices (vertex `i + 1` hangs off
         /// `parents[i] % (i + 1)`) plus chords, with random probabilities.
-        fn build(
+        pub(super) fn build(
             n: usize,
             parents: &[usize],
             chords: &[(usize, usize)],
@@ -1949,6 +1981,109 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    mod rescore_props {
+        use super::memo_props::build;
+        use super::*;
+        use crate::estimator::EstimateProvider;
+        use proptest::prelude::*;
+
+        /// Answers every estimate with one fixed estimate.
+        struct Fixed(ComponentEstimate);
+
+        impl EstimateProvider for Fixed {
+            fn estimate(&mut self, _: &ComponentGraph) -> ComponentEstimate {
+                self.0.clone()
+            }
+        }
+
+        /// A sampled estimate of `snapshot` over `samples` worlds, with
+        /// success counts drawn from `draws`.
+        fn sampled(snapshot: &ComponentGraph, samples: u32, draws: &[u32]) -> ComponentEstimate {
+            let successes = (0..snapshot.vertex_count())
+                .map(|i| {
+                    if i == 0 {
+                        samples
+                    } else {
+                        draws[i % draws.len()] % (samples + 1)
+                    }
+                })
+                .collect();
+            ComponentEstimate::from_success_counts(successes, samples)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Over random graphs and commit orders, every journal plan of
+            /// case IIIa, IIIb or IV scores bit-identically to the
+            /// clone-based reference at three estimates (exact and two
+            /// sampled), every score leaves the tree as it was, and a
+            /// structural plan's replay after its re-scores commits the
+            /// tree `insert_edge` builds with the last estimate.
+            #[test]
+            fn rescores_match_the_reference_and_replay_the_last_estimate(
+                (n, parents, chords, probs, order, draws) in (
+                    3usize..9,
+                    proptest::collection::vec(0usize..64, 8),
+                    proptest::collection::vec((0usize..9, 0usize..9), 0..6),
+                    proptest::collection::vec(0.05f64..=1.0, 14),
+                    proptest::collection::vec(0usize..64, 14),
+                    proptest::collection::vec(0u32..1000, 2..9),
+                )
+            ) {
+                let g = build(n, &parents[..n - 1], &chords, &probs);
+                let mut tree = FTree::new(&g, VertexId(0));
+                tree.enable_flow_cache();
+                for pick in order {
+                    let base = tree.flow_cached_total(&g, false);
+                    let cands = insertable(&g, &tree);
+                    if cands.is_empty() {
+                        break;
+                    }
+                    for &e in &cands {
+                        let before = tree.clone();
+                        let ProbePlan::Sampled(mut plan) = tree.probe_plan(&g, e, base).unwrap()
+                        else {
+                            continue;
+                        };
+                        let ProbePlan::Sampled(mut reference) =
+                            tree.probe_plan_cloning(&g, e, base).unwrap()
+                        else {
+                            panic!("both engines classify {e:?} alike");
+                        };
+                        let snapshot = plan.snapshot();
+                        let estimates = [
+                            snapshot.exact_reachability(DEFAULT_ENUMERATION_CAP).unwrap(),
+                            sampled(snapshot, 64, &draws),
+                            sampled(snapshot, 1000, &draws[1..]),
+                        ];
+                        let last = estimates[2].clone();
+                        for estimate in estimates {
+                            let a = plan.score(&tree, &g, false, 0.01, estimate.clone());
+                            let b = reference.score(&tree, &g, false, 0.01, estimate);
+                            prop_assert_eq!(a.case, b.case);
+                            prop_assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "flow of {:?}", e);
+                            prop_assert_eq!(a.lower.to_bits(), b.lower.to_bits());
+                            prop_assert_eq!(a.upper.to_bits(), b.upper.to_bits());
+                            prop_assert!(tree == before, "scoring {:?} changed the tree", e);
+                        }
+                        match plan.take_replay() {
+                            Some(replay) => {
+                                let mut replayed = before.clone();
+                                replayed.commit_replay(replay);
+                                let mut inserted = before.clone();
+                                inserted.insert_edge(&g, e, &mut Fixed(last)).unwrap();
+                                prop_assert!(replayed == inserted, "replay of {:?}", e);
+                            }
+                            None => prop_assert_eq!(plan.case(), InsertCase::CycleInBi),
+                        }
+                    }
+                    commit(&mut tree, &g, cands[pick % cands.len()]);
                 }
             }
         }

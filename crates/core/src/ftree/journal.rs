@@ -27,8 +27,10 @@
 //! insertion path — leaf attachment, `splitTree`, chain absorption — is
 //! journalled without case-specific code.
 
+use std::sync::Arc;
+
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
-use flowmax_sampling::ComponentGraph;
+use flowmax_sampling::{ComponentEstimate, ComponentGraph};
 
 use super::{Component, ComponentId, ComponentSource, Estimated, FTree, InsertReport, Kind};
 use crate::error::CoreError;
@@ -82,12 +84,13 @@ impl Journal {
 /// [`FTree::commit_replay`], which re-applies the recorded mutations —
 /// estimates included — without re-running `insert_edge` (and therefore
 /// without re-estimating or re-sampling anything). A structural probe plan
-/// keeps its replay and re-scores through [`FTree::swap_in`], which puts
-/// the images back as a journalled insertion.
+/// keeps its replay while its recorded score program re-scores it, and
+/// writes the estimate of its latest score into the formed component's
+/// image ([`CommitReplay::set_estimate`]) before handing it out.
 ///
 /// A replay is only valid on the exact tree state it was captured from;
-/// `commit_replay` and `swap_in` debug-assert the version counter and arena
-/// length to catch misuse.
+/// `commit_replay` debug-asserts the version counter and arena length to
+/// catch misuse.
 #[derive(Debug)]
 pub(crate) struct CommitReplay {
     /// The candidate edge the probe applied.
@@ -130,6 +133,25 @@ impl CommitReplay {
             panic!("structural insertions form a bi component")
         };
         snapshot
+    }
+
+    /// Replaces the formed component's estimate in its image: the replay
+    /// then commits the estimate a plan's latest score used.
+    pub(crate) fn set_estimate(&mut self, estimate: ComponentEstimate) {
+        let component = self.component.0;
+        let image = self
+            .slots
+            .iter_mut()
+            .find_map(|(s, post)| (*s == component).then_some(post.as_mut()))
+            .flatten()
+            .expect("replay records the formed component's live image");
+        let Kind::Bi {
+            estimate: stored, ..
+        } = &mut image.kind
+        else {
+            panic!("structural insertions form a bi component")
+        };
+        *stored = Arc::new(estimate);
     }
 }
 
@@ -310,65 +332,6 @@ impl FTree {
             slots: post_slots,
             assignments: post_assignments,
         }
-    }
-
-    /// Puts a probe's captured post-images back in place as a journalled
-    /// insertion: each image moves into the arena, and the pre-image it
-    /// displaces moves into the returned [`Journal`]; assignments, free
-    /// list, roots and version counter are swapped the same way. The tree
-    /// then equals the probe's applied state, and
-    /// [`rollback_capturing`](FTree::rollback_capturing) moves the images
-    /// out again — a structural re-score costs moves linear in the images,
-    /// not an insertion. Returns the formed component and the journal.
-    pub(crate) fn swap_in(&mut self, replay: CommitReplay) -> (ComponentId, Journal) {
-        debug_assert!(self.recorder.is_none(), "cannot swap in mid-apply");
-        debug_assert_eq!(
-            (self.version_counter, self.arena.len()),
-            (replay.pre_version_counter, replay.pre_arena_len),
-            "images swap in only on the exact tree they were captured from"
-        );
-        let CommitReplay {
-            edge,
-            component,
-            pre_version_counter: _,
-            pre_arena_len,
-            arena_len,
-            free,
-            roots,
-            version_counter,
-            slots,
-            assignments,
-        } = replay;
-        if self.arena.len() < arena_len {
-            self.arena.resize_with(arena_len, || None);
-        }
-        let slots = slots
-            .into_iter()
-            .map(|(slot, post)| {
-                (
-                    slot,
-                    std::mem::replace(&mut self.arena[slot as usize], post),
-                )
-            })
-            .collect();
-        // Forward order: a vertex written twice records its original owner
-        // first, so the reverse rollback lands it there.
-        let assignments = assignments
-            .into_iter()
-            .map(|(v, owner)| (v, std::mem::replace(&mut self.assignment[v.index()], owner)))
-            .collect();
-        let inserted = self.selected.insert(edge);
-        debug_assert!(inserted, "swapped-in edge must not already be selected");
-        let journal = Journal {
-            edge,
-            arena_len: pre_arena_len,
-            free: std::mem::replace(&mut self.free, free),
-            roots: std::mem::replace(&mut self.roots, roots),
-            version_counter: std::mem::replace(&mut self.version_counter, version_counter),
-            slots,
-            assignments,
-        };
-        (component, journal)
     }
 
     /// Commits a probed insertion by re-applying its captured post-images —

@@ -687,9 +687,9 @@ impl FTree {
     }
 
     /// Replaces a bi component's reachability estimate in place (structure
-    /// and snapshot unchanged) — used by deferred probes, whose estimates
-    /// arrive after the insertion, and by racing rounds that re-score one
-    /// probe at growing sample budgets.
+    /// and snapshot unchanged) — used where estimates arrive after the
+    /// insertion: the final evaluation's deferred estimates, and the
+    /// clone-based reference engine's structural probes.
     pub(crate) fn set_bi_estimate(&mut self, cid: ComponentId, new_estimate: ComponentEstimate) {
         let Kind::Bi { estimate, .. } = &mut self.comp_mut(cid).kind else {
             panic!("set_bi_estimate on a mono component");

@@ -20,17 +20,20 @@
 //!
 //! A structural (case IIIb/IV) plan is a journalled insertion on the shared
 //! tree, and every structural candidate costs exactly that one insertion
-//! per iteration. When the formed component's lane already covers round
-//! 0's target — a *warm* lane, the common case once §6.2 memoization has
-//! seen the component — the candidate is scored inside the planning apply.
-//! A cold candidate, and any candidate in a later round, is re-scored by
-//! swapping the redo images its plan captured into the tree and out again:
-//! nothing is inserted, built or classified twice. A warm lane whose
-//! snapshot has the insertion's exact AV and edge sequence also hands the
-//! apply its snapshot, vertex map and estimate before anything is built,
-//! so a warm probe builds no snapshot either. The lanes are the only
-//! store: no snapshot is kept that a lane does not hold. A finalist's
-//! record takes its plan's images, so the greedy commits it by replay.
+//! per iteration. The apply records the plan's score program: the scalars
+//! of the flow sum that the candidate's estimate cannot change. When the
+//! formed component's lane already covers round 0's target — a *warm*
+//! lane, the common case once §6.2 memoization has seen the component — the
+//! candidate is scored as soon as its plan is made. A cold candidate, and
+//! any candidate in a later round, is re-scored by evaluating the program
+//! on the lane's new estimate: nothing is inserted, built or classified
+//! twice, and the tree is not touched. A warm lane whose snapshot has the
+//! insertion's exact AV and edge sequence also hands the apply its
+//! snapshot, vertex map and estimate before anything is built, so a warm
+//! probe builds no snapshot either. The lanes are the only store: no
+//! snapshot is kept that a lane does not hold. A finalist's record takes
+//! its plan's images, with the estimate of its last score written in, so
+//! the greedy commits it by replay.
 //!
 //! # Determinism contract
 //!
@@ -118,7 +121,7 @@ impl AtHand for WarmLanes<'_> {
         // The exact branch neither draws samples nor advances the
         // provider's call counter (the same memoized path as plain
         // probing).
-        if snapshot.uncertain_edge_count() <= self.exact_edge_cap {
+        if snapshot.exactly_enumerable(self.exact_edge_cap) {
             return Some(self.memo.estimate(snapshot));
         }
         self.warm(snapshot.fingerprint())
@@ -128,11 +131,11 @@ impl AtHand for WarmLanes<'_> {
 
 struct Racer {
     edge: EdgeId,
-    /// The candidate's plan; a journal structural plan holds the redo
-    /// images of its latest score. A round that reuses the score (lane
-    /// already at target) keeps them: the lane's estimate is a pure
-    /// function of its drawn worlds, so the images still match what a
-    /// re-score would produce.
+    /// The candidate's plan; a journal structural plan holds the estimate
+    /// of its latest score for its redo images. A round that reuses the
+    /// score (lane already at target) keeps it: the lane's estimate is a
+    /// pure function of its drawn worlds, so it still matches what a
+    /// re-score would use.
     plan: Box<SampledProbe>,
     key: u64,
     /// The latest score and the lane size (worlds drawn) it was taken at.
@@ -162,9 +165,10 @@ impl RaceDriver {
     /// `eliminated`, with the score it was cut at and no redo images. An
     /// eliminated record cannot win, but delayed sampling records it.
     ///
-    /// The tree is borrowed mutably because structural plans score by
-    /// journalled apply → evaluate → rollback on it; every score leaves it
-    /// bit-identical, so across the whole call the tree reads unmodified.
+    /// The tree is borrowed mutably because structural plans are made by a
+    /// journalled apply → rollback on it, which leaves it bit-identical, so
+    /// across the whole call the tree reads unmodified. Scores never touch
+    /// it.
     #[allow(clippy::too_many_arguments)]
     pub fn probe_candidates(
         &mut self,
@@ -184,13 +188,13 @@ impl RaceDriver {
         }
         let race_config = RaceConfig::paper_default(config.samples);
         // Round 0 targets the ladder's first rung: a lane already holding
-        // that many worlds is warm, and its racer is scored inside its
-        // planning apply instead of by a second one.
+        // that many worlds is warm, and its racer is scored as soon as its
+        // plan is made.
         let opening = race_config.ladder()[0];
         let journal = config.probe_engine == ProbeEngine::Incremental;
         // Every structural plan inserts once (journalled apply, or the
-        // reference engine's clone insert); a re-score swaps the plan's
-        // images in and inserts nothing. Every sampled plan builds one
+        // reference engine's clone insert); a re-score evaluates the plan's
+        // program and inserts nothing. Every sampled plan builds one
         // snapshot unless a warm lane served it; re-scores build none.
         #[cfg(debug_assertions)]
         let inserts_before = FTree::debug_structural_insert_count();
@@ -248,8 +252,8 @@ impl RaceDriver {
                             cold_plans += 1;
                         }
                     }
-                    if plan.snapshot().uncertain_edge_count() <= config.exact_edge_cap {
-                        // Structural exact candidates were scored inside
+                    if plan.snapshot().exactly_enumerable(config.exact_edge_cap) {
+                        // Structural exact candidates were scored with
                         // their planning apply; the rest score here.
                         let outcome = scored.unwrap_or_else(|| {
                             let exact = memo.estimate(plan.snapshot());
@@ -333,14 +337,14 @@ impl RaceDriver {
                 let racer = &mut racers[i];
                 // Scoring is a pure function of the lane's estimate: a lane
                 // whose worlds did not grow since the racer's last score
-                // keeps its bounds for free. A warm racer, scored inside its
+                // keeps its bounds for free. A warm racer, scored with its
                 // planning apply, is therefore not scored again.
                 let outcome = match racer.scored {
                     Some((outcome, at)) if at == lane.drawn() => outcome,
                     _ => {
                         debug_assert!(
                             round.round > 0 || racer.scored.is_none(),
-                            "a racer scored in its planning apply is re-scored only once its lane grows"
+                            "a racer scored with its planning apply is re-scored only once its lane grows"
                         );
                         let outcome = racer.plan.score(
                             tree,
@@ -455,8 +459,8 @@ mod tests {
     }
 
     /// A structural racer's whole race costs one insertion, its planning
-    /// apply: a cold racer's per-round re-scores swap the plan's images in
-    /// and out, and a warm racer is scored inside the apply itself. The
+    /// apply: a cold racer's per-round re-scores evaluate the plan's
+    /// program, and a warm racer is scored with the apply itself. The
     /// warm score is bit-identical to the cold race's final one (same
     /// lane, same worlds).
     #[cfg(debug_assertions)]
@@ -501,7 +505,7 @@ mod tests {
             let (warm, warm_builds, second) = race(&mut tree);
             assert_eq!(
                 cold, 1,
-                "a cold racer's re-scores swap images, never insert"
+                "a cold racer's re-scores evaluate a program, never insert"
             );
             assert_eq!(cold_builds, 1, "re-scores reuse the plan's snapshot");
             assert_eq!(warm, 1, "a warm racer is planned and scored by one apply");

@@ -47,6 +47,7 @@ use std::time::Duration;
 
 use flowmax_graph::{
     max_probability_spanning_tree_full, EdgeId, ProbabilisticGraph, SpanningTree, VertexId,
+    DEFAULT_ENUMERATION_CAP,
 };
 use flowmax_sampling::ParallelEstimator;
 
@@ -328,7 +329,8 @@ impl<'g> Session<'g> {
     /// # Errors
     ///
     /// Validates every spec up front (budget ≥ 1, samples ≥ 1, query in
-    /// bounds) and returns the first violation before any work runs.
+    /// bounds, exact-enumeration caps at most [`DEFAULT_ENUMERATION_CAP`])
+    /// and returns the first violation before any work runs.
     ///
     /// ```
     /// use flowmax_core::{Algorithm, CoreError, Session};
@@ -414,6 +416,14 @@ impl<'g> Session<'g> {
         }
         if spec.samples == 0 {
             return Err(CoreError::ZeroSamples);
+        }
+        for cap in [spec.exact_edge_cap, self.evaluation.exact_edge_cap] {
+            if cap > DEFAULT_ENUMERATION_CAP {
+                return Err(CoreError::ExactEdgeCapTooLarge {
+                    cap,
+                    max: DEFAULT_ENUMERATION_CAP,
+                });
+            }
         }
         Ok(())
     }
@@ -646,7 +656,8 @@ impl<'s, 'g> QueryBuilder<'s, 'g> {
 
     /// Components with at most this many uncertain edges are enumerated
     /// exactly during selection instead of sampled (0 = pure Monte-Carlo,
-    /// the paper's setting).
+    /// the paper's setting). `run` rejects a cap above
+    /// [`DEFAULT_ENUMERATION_CAP`].
     pub fn exact_edge_cap(mut self, cap: usize) -> Self {
         self.spec.exact_edge_cap = cap;
         self
@@ -696,7 +707,9 @@ impl<'s, 'g> QueryBuilder<'s, 'g> {
     /// # Errors
     ///
     /// [`CoreError::EmptyBudget`] if no budget was set (or it is 0);
-    /// [`CoreError::ZeroSamples`] if the sample budget is 0.
+    /// [`CoreError::ZeroSamples`] if the sample budget is 0;
+    /// [`CoreError::ExactEdgeCapTooLarge`] if the query's or the session's
+    /// evaluation exact-enumeration cap exceeds [`DEFAULT_ENUMERATION_CAP`].
     pub fn run(self) -> Result<SolveRun<'g>, CoreError> {
         self.run_with(&mut NoObserver)
     }
@@ -842,6 +855,21 @@ mod tests {
             .samples(0)
             .run();
         assert!(matches!(no_samples, Err(CoreError::ZeroSamples)));
+    }
+
+    /// Exact-enumeration caps above 24 are rejected before any work runs,
+    /// whether on the query or on the session's evaluation estimator.
+    #[test]
+    fn caps_past_the_enumeration_cap_are_rejected() {
+        let g = graph();
+        let session = Session::new(&g);
+        let query = || session.query(VertexId(0)).unwrap().budget(2).samples(50);
+        let too_large = Err(CoreError::ExactEdgeCapTooLarge { cap: 25, max: 24 });
+        assert_eq!(query().exact_edge_cap(25).run().map(|r| r.flow), too_large);
+        assert!(query().exact_edge_cap(24).run().is_ok());
+        let evaluated = Session::new(&g).with_evaluation(EstimatorConfig::hybrid(25, 100));
+        let run = evaluated.query(VertexId(0)).unwrap().budget(2).run();
+        assert_eq!(run.map(|r| r.flow), too_large);
     }
 
     #[test]

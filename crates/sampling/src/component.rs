@@ -8,11 +8,15 @@
 //! * samples it (`sample_reachability`) — the paper's estimator, or
 //! * enumerates it exactly (`exact_reachability`) — possible because
 //!   components are small; this powers the `Exact`/`Hybrid` estimators used
-//!   for ground-truth testing and low-variance evaluation.
+//!   for ground-truth testing and low-variance evaluation. Worlds are
+//!   resolved a lane block at a time by the sampler's [`LaneBfs`], with
+//!   every world's probability and every per-vertex sum formed in the order
+//!   a one-world-at-a-time loop would use, so the result is bit-identical
+//!   to that loop's.
 
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
 
-use crate::batch::WorldBatch;
+use crate::batch::{block_mask, block_worlds, LaneBfs, WorldBatch, LANE_WORDS};
 use crate::coin::scalar_coin;
 use crate::confidence::{wald_interval, ConfidenceInterval};
 use crate::parallel::ParallelEstimator;
@@ -88,6 +92,15 @@ pub struct ComponentGraph {
     /// time — see [`ComponentGraph::fingerprint`].
     fingerprint: u64,
 }
+
+/// The most uncertain edges an exact enumeration accepts, whatever cap a
+/// caller asks for: `2^63` worlds is the most a `u64` world index covers.
+/// A component past it is sampled.
+pub const MAX_EXACT_UNCERTAIN_EDGES: usize = 63;
+
+/// Uncertain edges whose on/off state varies across the lanes of one
+/// enumeration block (`2^9` = 512 worlds = one `[u64; LANE_WORDS]` block).
+const LANE_BITS: usize = block_worlds::<LANE_WORDS>().trailing_zeros() as usize;
 
 /// Salt decorrelating the per-edge terms of the commutative fingerprint from
 /// raw edge ids (so `{e}` and `{e+1}` don't land one apart).
@@ -215,6 +228,14 @@ impl ComponentGraph {
         self.edge_probs.iter().filter(|&&p| p < 1.0).count()
     }
 
+    /// Whether [`exact_reachability`](ComponentGraph::exact_reachability)
+    /// enumerates this component under `cap`: at most `cap` uncertain edges,
+    /// and never more than [`MAX_EXACT_UNCERTAIN_EDGES`]. Every caller that
+    /// chooses between enumerating and sampling asks this.
+    pub fn exactly_enumerable(&self, cap: usize) -> bool {
+        self.uncertain_edge_count() <= cap.min(MAX_EXACT_UNCERTAIN_EDGES)
+    }
+
     /// A 64-bit identity fingerprint: articulation vertex + global edge set.
     /// Two snapshots of the *same* component (same edges, same AV) always
     /// collide, regardless of edge order; this keys memoization and the
@@ -319,8 +340,21 @@ impl ComponentGraph {
     }
 
     /// Exact `Pr[v ↔ AV]` by enumerating the `2^u` worlds over the `u`
-    /// uncertain edges. Returns `None` when `u > cap`.
+    /// uncertain edges. Returns `None` unless the component is
+    /// [`exactly_enumerable`](ComponentGraph::exactly_enumerable) under
+    /// `cap`.
+    ///
+    /// World `i` has uncertain edge `b` on iff bit `b` of `i` is set, and
+    /// its probability is the product of its edges' factors in bit order.
+    /// One [`LaneBfs`] resolves each block of 512 consecutive worlds: the
+    /// low 9 uncertain edges take fixed lane patterns, the higher ones are
+    /// all on or all off for the block. Each vertex adds the probabilities
+    /// of the worlds that reach it in increasing world order, so every sum
+    /// is the one a world-by-world loop forms.
     pub fn exact_reachability(&self, cap: usize) -> Option<ComponentEstimate> {
+        if !self.exactly_enumerable(cap) {
+            return None;
+        }
         let uncertain: Vec<usize> = self
             .edge_probs
             .iter()
@@ -328,28 +362,49 @@ impl ComponentGraph {
             .filter(|(_, &p)| p < 1.0)
             .map(|(i, _)| i)
             .collect();
-        if uncertain.len() > cap {
-            return None;
+        let (low, high) = uncertain.split_at(uncertain.len().min(LANE_BITS));
+        let lanes = 1usize << low.len();
+        let active = block_mask::<LANE_WORDS>(lanes as u32);
+        // Certain edges are on in every world.
+        let mut masks = vec![active; self.edge_count()];
+        // The probability of each lane's low bits, multiplied in bit order.
+        let mut low_prob = vec![1.0f64; lanes];
+        for (bit, &e) in low.iter().enumerate() {
+            let p = self.edge_probs[e];
+            let mask = &mut masks[e];
+            *mask = [0; LANE_WORDS];
+            for (lane, prob) in low_prob.iter_mut().enumerate() {
+                if lane >> bit & 1 == 1 {
+                    mask[lane / 64] |= 1 << (lane % 64);
+                    *prob *= p;
+                } else {
+                    *prob *= 1.0 - p;
+                }
+            }
         }
         let n = self.vertex_count();
-        let m = self.edge_count();
         let mut reach = vec![0.0f64; n];
-        let mut alive = vec![true; m]; // certain edges always alive
-        let mut visited = vec![false; n];
-        let mut stack = Vec::with_capacity(n);
-        let worlds: u64 = 1u64 << uncertain.len();
-        for mask in 0..worlds {
-            let mut prob = 1.0;
-            for (bit, &e) in uncertain.iter().enumerate() {
-                let on = mask >> bit & 1 == 1;
-                alive[e] = on;
+        let mut prob = vec![0.0f64; lanes];
+        let mut bfs = LaneBfs::<LANE_WORDS>::new(n);
+        for block in 0..1u64 << high.len() {
+            prob.copy_from_slice(&low_prob);
+            for (bit, &e) in high.iter().enumerate() {
+                let on = block >> bit & 1 == 1;
                 let p = self.edge_probs[e];
-                prob *= if on { p } else { 1.0 - p };
+                let factor = if on { p } else { 1.0 - p };
+                masks[e] = if on { active } else { [0; LANE_WORDS] };
+                for x in &mut prob {
+                    *x *= factor;
+                }
             }
-            self.bfs_from_articulation(&alive, &mut visited, &mut stack);
-            for (r, &v) in reach.iter_mut().zip(&visited) {
-                if v {
-                    *r += prob;
+            bfs.run(0, active, &masks, |u| self.local_neighbors(u));
+            for (r, reached) in reach.iter_mut().zip(bfs.reached()) {
+                for (k, &word) in reached.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        *r += prob[64 * k + bits.trailing_zeros() as usize];
+                        bits &= bits - 1;
+                    }
                 }
             }
         }
@@ -608,6 +663,115 @@ mod tests {
             let l1 = c1.vertices().iter().position(|&x| x == v).unwrap();
             let l2 = c2.vertices().iter().position(|&x| x == v).unwrap();
             assert!((e1.reach(l1) - e2.reach(l2)).abs() < 1e-12);
+        }
+    }
+
+    /// The world-by-world enumeration the lane enumerator replaced: one
+    /// world per index, its probability multiplied in bit order, one BFS.
+    fn scalar_exact(c: &ComponentGraph) -> Vec<f64> {
+        let uncertain: Vec<usize> = (0..c.edge_count())
+            .filter(|&e| c.edge_probs[e] < 1.0)
+            .collect();
+        let mut reach = vec![0.0f64; c.vertex_count()];
+        let mut alive = vec![true; c.edge_count()];
+        let mut visited = vec![false; c.vertex_count()];
+        let mut stack = Vec::new();
+        for mask in 0..1u64 << uncertain.len() {
+            let mut prob = 1.0;
+            for (bit, &e) in uncertain.iter().enumerate() {
+                let on = mask >> bit & 1 == 1;
+                alive[e] = on;
+                let p = c.edge_probs[e];
+                prob *= if on { p } else { 1.0 - p };
+            }
+            c.bfs_from_articulation(&alive, &mut visited, &mut stack);
+            for (r, &v) in reach.iter_mut().zip(&visited) {
+                if v {
+                    *r += prob;
+                }
+            }
+        }
+        reach
+    }
+
+    /// A dense component with `uncertain` edges of varied probability and
+    /// `certain` edges of probability one mixed in: vertex pairs at
+    /// distance 1, then 2, … on the fewest vertices that hold them all.
+    fn mixed_component(uncertain: usize, certain: usize) -> (ProbabilisticGraph, ComponentGraph) {
+        let m = uncertain + certain;
+        let n = (2..).find(|n| n * (n - 1) / 2 >= m).unwrap();
+        let mut b = GraphBuilder::new();
+        b.add_vertices(n, Weight::ONE);
+        let pairs = (1..n).flat_map(|d| (0..n - d).map(move |a| (a, a + d)));
+        let mut edges = Vec::new();
+        for (i, (a, z)) in pairs.take(m).enumerate() {
+            // Exactly `certain` of the `m` edges, spread out, are certain.
+            let prob = if i * certain / m != (i + 1) * certain / m {
+                Probability::ONE
+            } else {
+                p(0.05 + 0.9 * ((i * 37 % 23) as f64 / 23.0))
+            };
+            edges.push(
+                b.add_edge(VertexId::from_index(a), VertexId::from_index(z), prob)
+                    .unwrap(),
+            );
+        }
+        let g = b.build();
+        let c = ComponentGraph::build(&g, VertexId(0), &edges);
+        (g, c)
+    }
+
+    /// Lane blocks give the world-by-world loop's sums bit for bit: no
+    /// uncertain edge, one, a partial block (6), exactly one block (9), two
+    /// blocks (10) and many (16), each with certain edges mixed in. They
+    /// also match whole-graph enumeration on the same edges.
+    #[test]
+    fn lane_enumeration_matches_the_world_by_world_loop() {
+        for (u, certain) in [(0, 2), (1, 2), (6, 2), (9, 3), (10, 3), (16, 3)] {
+            let (g, c) = mixed_component(u, certain);
+            assert_eq!(c.uncertain_edge_count(), u, "u = {u}");
+            assert!(c.edge_count() > u, "u = {u} has certain edges");
+            let lanes = c.exact_reachability(u).expect("within the cap");
+            let scalar = scalar_exact(&c);
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(lanes.reach_all()), bits(&scalar), "u = {u}");
+            let whole = flowmax_graph::exact_reachability(
+                &g,
+                &flowmax_graph::EdgeSubset::full(&g),
+                VertexId(0),
+                flowmax_graph::DEFAULT_ENUMERATION_CAP,
+            )
+            .unwrap();
+            for (local, &v) in c.vertices().iter().enumerate() {
+                assert!(
+                    (lanes.reach(local) - whole[v.index()]).abs() < 1e-12,
+                    "u = {u}, {v:?}"
+                );
+            }
+        }
+    }
+
+    /// A 64-edge cycle is past every cap: it is never enumerated, however
+    /// large the cap asked for.
+    #[test]
+    fn a_component_past_63_uncertain_edges_is_never_enumerated() {
+        let mut b = GraphBuilder::new();
+        b.add_vertices(64, Weight::ONE);
+        let edges: Vec<EdgeId> = (0..64)
+            .map(|i| {
+                b.add_edge(
+                    VertexId::from_index(i),
+                    VertexId::from_index((i + 1) % 64),
+                    p(0.5),
+                )
+                .unwrap()
+            })
+            .collect();
+        let c = ComponentGraph::build(&b.build(), VertexId(0), &edges);
+        assert_eq!(c.uncertain_edge_count(), 64);
+        for cap in [63, 64, usize::MAX] {
+            assert!(!c.exactly_enumerable(cap), "cap {cap}");
+            assert!(c.exact_reachability(cap).is_none(), "cap {cap}");
         }
     }
 

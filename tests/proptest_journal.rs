@@ -161,7 +161,7 @@ proptest! {
                             ProbePlan::Analytic(outcome) => outcome,
                             ProbePlan::Sampled(mut plan) => {
                                 let est = journal_provider.estimate(plan.snapshot());
-                                plan.score(&mut tree, &g, false, 0.01, est)
+                                plan.score(&tree, &g, false, 0.01, est)
                             }
                         };
                     let clone_outcome =
@@ -169,7 +169,7 @@ proptest! {
                             ProbePlan::Analytic(outcome) => outcome,
                             ProbePlan::Sampled(mut plan) => {
                                 let est = clone_provider.estimate(plan.snapshot());
-                                plan.score(&mut tree, &g, false, 0.01, est)
+                                plan.score(&tree, &g, false, 0.01, est)
                             }
                         };
                     prop_assert_eq!(journal_outcome.case, clone_outcome.case, "case of {:?}", e);
