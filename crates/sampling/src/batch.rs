@@ -41,7 +41,7 @@
 
 use flowmax_graph::{EdgeId, EdgeSubset, ProbabilisticGraph, VertexId};
 
-use crate::rng::{FlowRng, SeedSequence};
+use crate::rng::{seed_state_word, FlowRng, SeedSequence};
 use rand::RngCore;
 
 /// Number of possible worlds packed into one lane word — the batching and
@@ -216,24 +216,33 @@ impl SoaLaneRngs {
     /// states to a whole number of 64-lane words (xoshiro maps zero to
     /// zero, so padding lanes cost one vector op and their hits are
     /// masked off).
+    ///
+    /// The seeds are expanded a whole 64-lane word at a time: each step
+    /// (child seed, then each state word) is one fixed-size array pass
+    /// with no carried state, so it compiles to packed integer SIMD, and
+    /// the padding lanes are zeroed by a lane mask rather than a branch.
     fn reseed(&mut self, seq: &SeedSequence, first_label: u64, lanes: u32) {
-        self.s0.clear();
-        self.s1.clear();
-        self.s2.clear();
-        self.s3.clear();
+        const WORD: usize = LANES as usize;
         self.lanes = lanes as usize;
-        for w in 0..lanes as u64 {
-            let s = seq.rng(first_label + w).state();
-            self.s0.push(s[0]);
-            self.s1.push(s[1]);
-            self.s2.push(s[2]);
-            self.s3.push(s[3]);
+        let padded = self.lanes.div_ceil(WORD) * WORD;
+        for s in [&mut self.s0, &mut self.s1, &mut self.s2, &mut self.s3] {
+            s.resize(padded, 0);
         }
-        let padded = (lanes as usize).div_ceil(LANES as usize) * LANES as usize;
-        self.s0.resize(padded, 0);
-        self.s1.resize(padded, 0);
-        self.s2.resize(padded, 0);
-        self.s3.resize(padded, 0);
+        for base in (0..padded).step_by(WORD) {
+            let live = self.lanes - base;
+            let keep: [u64; WORD] = std::array::from_fn(|j| 0u64.wrapping_sub(u64::from(j < live)));
+            let label = first_label + base as u64;
+            let seeds: [u64; WORD] =
+                std::array::from_fn(|j| seq.child_seed(label.wrapping_add(j as u64)));
+            for (k, s) in [&mut self.s0, &mut self.s1, &mut self.s2, &mut self.s3]
+                .into_iter()
+                .enumerate()
+            {
+                let word: &mut [u64; WORD] =
+                    (&mut s[base..base + WORD]).try_into().expect("padded word");
+                *word = std::array::from_fn(|j| seed_state_word(seeds[j], k as u64) & keep[j]);
+            }
+        }
     }
 
     /// Flips every threshold edge's coin for every lane, tiled: edges are
@@ -423,22 +432,44 @@ impl<const W: usize> WorldBatch<W> {
 ///
 /// `reached[v]` is a lane block — bit `w % 64` of word `w / 64` says
 /// whether `v` is reachable from the source in world `w`. The traversal is
-/// a pure frontier worklist: it propagates *newly arrived* lane bits only,
-/// so each vertex is reprocessed just when some world discovers it (not
-/// once per world), neighbours whose lane block has already converged to
-/// the full active mask are skipped outright in late rounds, and between
-/// runs only the vertices the previous run actually touched are reset — no
-/// dense full-vertex sweep anywhere. Every mask operation covers `W` words,
-/// so the frontier bookkeeping is amortized over `64·W` worlds per pass.
+/// a frontier worklist over *newly arrived* lane bits: a popped vertex
+/// pushes only the bits that reached it since its last pop, so each vertex
+/// is reprocessed just when some world discovers it (not once per world),
+/// and between runs only the vertices the previous run touched are reset —
+/// no dense full-vertex sweep anywhere.
+///
+/// The per-neighbour step is branch-free. It computes the newly reached
+/// bits as one whole-block array op (`W` words, a single vector op at the
+/// crate's width), stores `reached[v]` and `pending[v]` unconditionally,
+/// and appends `v` to the worklist and to the touched list by writing at
+/// the list's end and advancing the end by a 0/1 flag. The worklist is a
+/// fixed ring of `vertex_count + 1` slots: `in_queue` keeps each vertex in
+/// it at most once, so the slot at its tail is always free to write. The
+/// data-dependent branches this replaces (skip a converged neighbour, skip
+/// an empty step, first touch, already queued) depend on each world's coins
+/// and cost more in mispredictions than the stores they saved: on the WSN
+/// benchmark instance the traversal fell from about 0.7 to 0.2 ns per edge
+/// × world without them.
+///
+/// Pop order does not change the result (a vertex's reached block is a
+/// function of the sampled worlds alone), and it barely changes the work:
+/// sweeping vertices in BFS-rank order instead of ring order left the pop
+/// count where it was, because vertices are re-queued by lane bits that
+/// arrive over different paths in different worlds, not by the visiting
+/// order.
 #[derive(Debug, Clone)]
 pub struct LaneBfs<const W: usize = LANE_WORDS> {
     reached: Vec<[u64; W]>,
     pending: Vec<[u64; W]>,
     in_queue: Vec<bool>,
-    queue: std::collections::VecDeque<u32>,
-    /// Vertices whose `reached` block the latest run set (the only entries
-    /// that need zeroing before the next run).
+    /// The worklist ring, `vertex_count + 1` slots.
+    ring: Vec<u32>,
+    /// `touched[..touched_len]`: the vertices whose `reached` block the
+    /// latest run set (the only entries that need zeroing before the next
+    /// run); `vertex_count + 1` slots, so the branch-free append always
+    /// has one to write.
     touched: Vec<u32>,
+    touched_len: usize,
 }
 
 impl<const W: usize> LaneBfs<W> {
@@ -448,8 +479,9 @@ impl<const W: usize> LaneBfs<W> {
             reached: vec![[0; W]; vertex_count],
             pending: vec![[0; W]; vertex_count],
             in_queue: vec![false; vertex_count],
-            queue: std::collections::VecDeque::new(),
-            touched: Vec::new(),
+            ring: vec![0; vertex_count + 1],
+            touched: vec![0; vertex_count + 1],
+            touched_len: 0,
         }
     }
 
@@ -466,8 +498,9 @@ impl<const W: usize> LaneBfs<W> {
         self.pending.resize(vertex_count, [0; W]);
         self.in_queue.clear();
         self.in_queue.resize(vertex_count, false);
-        self.queue.clear();
-        self.touched.clear();
+        self.ring.resize(vertex_count + 1, 0);
+        self.touched.resize(vertex_count + 1, 0);
+        self.touched_len = 0;
     }
 
     /// Lane blocks of the latest run, indexed by vertex.
@@ -499,57 +532,47 @@ impl<const W: usize> LaneBfs<W> {
         I: Iterator<Item = (usize, usize)>,
     {
         // Frontier-local reset: only the previous run's touched vertices
-        // hold non-zero lane blocks (`pending`/`in_queue`/`queue` are
+        // hold non-zero lane blocks (`pending` and `in_queue` are
         // self-cleaning — the worklist drains them before returning).
-        for &v in &self.touched {
+        for &v in &self.touched[..self.touched_len] {
             self.reached[v as usize] = [0; W];
         }
-        self.touched.clear();
+        let slots = self.ring.len();
         self.reached[source] = init;
         self.pending[source] = init;
         self.in_queue[source] = true;
-        self.queue.push_back(source as u32);
-        self.touched.push(source as u32);
-        while let Some(u) = self.queue.pop_front() {
-            let u = u as usize;
-            self.in_queue[u] = false;
-            let delta = self.pending[u];
-            self.pending[u] = [0; W];
-            if delta == [0; W] {
-                continue;
+        self.ring[0] = source as u32;
+        self.touched[0] = source as u32;
+        let (mut head, mut tail, mut touched) = (0, 1, 1);
+        while head != tail {
+            let u = self.ring[head] as usize;
+            head += 1;
+            if head == slots {
+                head = 0;
             }
+            self.in_queue[u] = false;
+            let delta = std::mem::replace(&mut self.pending[u], [0; W]);
             for (v, e) in neighbors(u) {
-                // A converged vertex (every active lane reached) can gain
-                // no new bits; skip it before touching the edge mask.
                 let seen = self.reached[v];
-                if seen == init {
-                    continue;
-                }
                 let mask = &edge_masks[e];
-                let mut new = [0u64; W];
-                let mut any = 0u64;
-                let mut old = 0u64;
-                for k in 0..W {
-                    new[k] = delta[k] & mask[k] & !seen[k];
-                    any |= new[k];
-                    old |= seen[k];
+                let new: [u64; W] = std::array::from_fn(|k| delta[k] & mask[k] & !seen[k]);
+                let pending = self.pending[v];
+                self.reached[v] = std::array::from_fn(|k| seen[k] | new[k]);
+                self.pending[v] = std::array::from_fn(|k| pending[k] | new[k]);
+                let any = new.iter().fold(0, |acc, &word| acc | word) != 0;
+                let first = seen.iter().fold(0, |acc, &word| acc | word) == 0;
+                self.touched[touched] = v as u32;
+                touched += usize::from(any & first);
+                let queued = self.in_queue[v];
+                self.ring[tail] = v as u32;
+                tail += usize::from(any & !queued);
+                if tail == slots {
+                    tail = 0;
                 }
-                if any != 0 {
-                    if old == 0 {
-                        self.touched.push(v as u32);
-                    }
-                    let (reached, pending) = (&mut self.reached[v], &mut self.pending[v]);
-                    for k in 0..W {
-                        reached[k] = seen[k] | new[k];
-                        pending[k] |= new[k];
-                    }
-                    if !self.in_queue[v] {
-                        self.in_queue[v] = true;
-                        self.queue.push_back(v as u32);
-                    }
-                }
+                self.in_queue[v] = queued | any;
             }
         }
+        self.touched_len = touched;
     }
 
     /// Convenience: lane BFS over a graph-level [`WorldBatch`] from `query`.
@@ -637,6 +660,42 @@ mod tests {
                 expected[w / 64] |= u64::from(coin.flip_one(rng)) << (w % 64);
             }
             assert_eq!(*block, expected, "round {round}");
+        }
+    }
+
+    #[test]
+    fn reseed_lanes_hold_their_child_stream_states() {
+        // The lane-parallel reseed writes lane `i` the exact state of
+        // `seq.rng(first_label + i)`, and all-zero states into the padding
+        // lanes up to the next whole word, at partial, whole and multi-word
+        // lane counts. One `SoaLaneRngs` is reused across the counts, so a
+        // shrinking reseed must also clear what the larger one left.
+        let seq = SeedSequence::new(0xD1CE);
+        let mut soa = SoaLaneRngs::default();
+        for (lanes, first_label) in [
+            (512, 0),
+            (1, 9),
+            (65, 1 << 40),
+            (63, 0),
+            (511, 777),
+            (64, 3),
+            (512, 4096),
+        ] {
+            soa.reseed(&seq, first_label, lanes);
+            let padded = (lanes as usize).div_ceil(64) * 64;
+            assert_eq!(soa.lanes, lanes as usize);
+            for s in [&soa.s0, &soa.s1, &soa.s2, &soa.s3] {
+                assert_eq!(s.len(), padded, "{lanes} lanes");
+            }
+            for i in 0..padded {
+                let expected = if i < lanes as usize {
+                    seq.rng(first_label + i as u64).state()
+                } else {
+                    [0; 4]
+                };
+                let lane = [soa.s0[i], soa.s1[i], soa.s2[i], soa.s3[i]];
+                assert_eq!(lane, expected, "{lanes} lanes from {first_label}, lane {i}");
+            }
         }
     }
 

@@ -25,10 +25,10 @@
 //! per job: chunks run on the persistent process-global
 //! [`WorkerPool`] (one pinned thread per worker slot,
 //! channel-fed, joined on drop), every thread keeps one warm
-//! [`SamplingScratch`] for life (lane buffers, per-lane RNGs, frontier
-//! worklists — see [`with_thread_scratch`]), and snapshot builds reuse a
-//! graph-sized [`LocalIdScratch`] reset by an epoch counter instead of
-//! allocating a hash map per component.
+//! [`SamplingScratch`] for life (lane buffers, per-lane RNGs, the lane
+//! BFS's worklist ring — see [`with_thread_scratch`]), and snapshot builds
+//! reuse a graph-sized [`LocalIdScratch`] reset by an epoch counter instead
+//! of allocating a hash map per component.
 
 #![warn(missing_docs)]
 // `deny`, not `forbid`: the worker pool hands lifetime-erased closures to

@@ -129,8 +129,12 @@ where
 
 /// Work-size floor for sharding: an extra worker must have at least this
 /// many edge-coin draws (edges × worlds) to amortize its dispatch/report
-/// round-trip through the persistent pool (single-digit microseconds per
-/// chunk — far below the old per-job scoped spawn, but still not free).
+/// round-trip through the persistent pool. perfbench's `pool.roundtrip_us`
+/// (an empty two-range job) measures 16–20 µs on a 2-vCPU AVX-512 VM — far
+/// below the old per-job scoped spawn, but not free. At the kernel's cost
+/// there (`kernel.coin_ns` plus `kernel.bfs_ns`, 0.7–1.0 ns per edge ×
+/// world), the floor of 65,536 coins is 45–65 µs of sampling, about three
+/// round trips.
 const MIN_COINS_PER_WORKER: u64 = 1 << 16;
 
 /// Caps the worker count by the job's size so that small jobs — like the

@@ -28,7 +28,7 @@
 //! [`ParallelEstimator::extend_components`], which turns one round into a
 //! single multi-candidate job running against each worker thread's warm
 //! [`SamplingScratch`](crate::scratch::SamplingScratch) — the round's
-//! batches reuse warm lane buffers and frontier worklists, and each
+//! batches reuse warm lane buffers and lane-BFS worklist rings, and each
 //! [`IncrementalComponent`] keeps its own success counters across rounds,
 //! so a race's steady state draws worlds without per-batch allocation.
 

@@ -45,13 +45,27 @@ impl SeedSequence {
     }
 }
 
+/// The SplitMix64 stream increment (the 64-bit golden ratio).
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64 finalizer: bijective 64-bit mixing with full avalanche.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = x.wrapping_add(GOLDEN_GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// Word `k` (`0..4`) of the xoshiro256++ state that
+/// `FlowRng::seed_from_u64(seed)` starts from: the `k + 1`-th output of the
+/// SplitMix64 stream at `seed`. A pure function of `(seed, k)` with no
+/// carried state, so a caller can expand many seeds at once, one state word
+/// across all of them per pass (the lane-parallel reseed of the batch
+/// sampler does).
+#[inline]
+pub(crate) fn seed_state_word(seed: u64, k: u64) -> u64 {
+    splitmix64(seed.wrapping_add(k.wrapping_mul(GOLDEN_GAMMA)))
 }
 
 #[cfg(test)]
@@ -95,6 +109,16 @@ mod tests {
             .take(5)
             .collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn seed_state_words_expand_like_seed_from_u64() {
+        use rand::SeedableRng;
+        let s = SeedSequence::new(0xF10E);
+        for seed in [0, 1, u64::MAX, s.child_seed(0), s.child_seed(12_345)] {
+            let words = [0, 1, 2, 3].map(|k| seed_state_word(seed, k));
+            assert_eq!(words, FlowRng::seed_from_u64(seed).state(), "seed {seed}");
+        }
     }
 
     #[test]

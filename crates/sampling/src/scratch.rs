@@ -2,11 +2,12 @@
 //!
 //! Every batched estimation needs the same per-worker working set: a
 //! [`WorldBatch`] (lane blocks per edge plus the per-lane RNG buffers) and a
-//! [`LaneBfs`] (reached/pending lane blocks, the frontier worklist and its
-//! touched-vertex reset list). Allocating those per call is cheap once but
-//! ruinous in the greedy selection loop, where every candidate probe runs a
-//! small component estimation: thousands of probes per iteration each paid
-//! a fresh batch + BFS allocation.
+//! [`LaneBfs`] (reached/pending lane blocks, the fixed worklist ring and
+//! the touched-vertex reset list, both `vertex_count + 1` slots so the
+//! branch-free appends always have one to write). Allocating those per
+//! call is cheap once but ruinous in the greedy selection loop, where every
+//! candidate probe runs a small component estimation: thousands of probes
+//! per iteration each paid a fresh batch + BFS allocation.
 //!
 //! [`SamplingScratch`] bundles the working set, and
 //! [`with_thread_scratch`] keeps **one scratch per OS thread** — each
@@ -16,7 +17,7 @@
 //! of their own jobs, and whole jobs that are too small to shard) get their
 //! own. Buffers survive across jobs and only grow, so steady-state
 //! estimation performs zero heap allocation per batch: the mask buffer,
-//! lane RNGs, BFS arrays and frontier queues are all reused, whatever
+//! lane RNGs, BFS arrays and worklist rings are all reused, whatever
 //! sequence of components and domains the thread serves.
 //!
 //! Scratch contents never influence results — every buffer is fully
@@ -37,7 +38,7 @@ use crate::batch::{LaneBfs, WorldBatch};
 pub struct SamplingScratch {
     /// Lane-block batch (edge masks + per-lane RNG states).
     pub batch: WorldBatch,
-    /// Lane BFS state (reached/pending blocks, frontier worklist).
+    /// Lane BFS state (reached/pending blocks, worklist ring, touched list).
     pub bfs: LaneBfs,
 }
 

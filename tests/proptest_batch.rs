@@ -171,6 +171,80 @@ fn partial_batches_match_scalar_prefix_at(spec: &SmallGraph, lanes: u32) {
     }
 }
 
+/// A sequence of denser graphs (up to ~40 vertices, many chords, so lane
+/// bits reach vertices over several paths and re-queue them) for one
+/// reused [`LaneBfs`].
+fn graph_sequence() -> impl Strategy<Value = Vec<(SmallGraph, u32)>> {
+    let dense = (2usize..41).prop_flat_map(|n| {
+        let tree = proptest::collection::vec(0usize..n, n - 1).prop_map(move |raw| {
+            raw.iter()
+                .enumerate()
+                .map(|(i, &r)| r % (i + 1))
+                .collect::<Vec<_>>()
+        });
+        let chords = proptest::collection::vec((0usize..n, 0usize..n), 0..3 * n);
+        let probs = proptest::collection::vec(0.02f64..=1.0, 4 * n);
+        let seed = 0u64..1_000;
+        (Just(n), tree, chords, probs, seed).prop_map(|(n, tree_parents, chords, probs, seed)| {
+            SmallGraph {
+                n,
+                tree_parents,
+                chords,
+                probs,
+                seed,
+            }
+        })
+    });
+    proptest::collection::vec((dense, 1u32..=WORLDS), 3..7)
+}
+
+/// One [`LaneBfs`] serves consecutive graphs of different sizes, so
+/// `prepare` both grows and shrinks it and every run starts from the
+/// previous run's touched list and ring: each lane still matches a scalar
+/// BFS of that lane's world, and inactive lanes reach nothing.
+fn reused_lane_bfs_matches_scalar_bfs_at(graphs: &[(SmallGraph, u32)]) {
+    let mut lane_bfs = LaneBfs::<LANE_WORDS>::new(0);
+    for (i, (spec, lanes)) in graphs.iter().enumerate() {
+        let g = build(spec);
+        let domain = EdgeSubset::full(&g);
+        let seq = SeedSequence::new(spec.seed ^ 0x5EED);
+        let batch = WorldBatch::<LANE_WORDS>::sample(&g, &domain, &seq, 0, *lanes);
+        let query = VertexId::from_index(spec.seed as usize % spec.n);
+        lane_bfs.prepare(g.vertex_count());
+        // Run twice from different sources: the second run resets from
+        // the first run's touched list, not from `prepare`.
+        for source in [VertexId(0), query] {
+            lane_bfs.run_graph(&g, source, &batch);
+            prop_assert_eq!(lane_bfs.reached().len(), g.vertex_count());
+            let mut world = EdgeSubset::for_graph(&g);
+            let mut bfs = Bfs::new(g.vertex_count());
+            for lane in 0..WORLDS {
+                let (word, bit) = (lane as usize / 64, lane % 64);
+                if lane >= *lanes {
+                    for v in g.vertices() {
+                        prop_assert_eq!(lane_bfs.reached_mask(v.index())[word] >> bit & 1, 0);
+                    }
+                    continue;
+                }
+                batch.world(lane, &mut world);
+                bfs.reachable(&g, &world, source);
+                for v in g.vertices() {
+                    prop_assert_eq!(
+                        bfs.was_visited(v),
+                        lane_bfs.reached_mask(v.index())[word] >> bit & 1 == 1,
+                        "graph {} (n {}) source {} lane {} vertex {}",
+                        i,
+                        spec.n,
+                        source.index(),
+                        lane,
+                        v.index()
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -194,6 +268,13 @@ proptest! {
     #[test]
     fn partial_batches_match_scalar_prefix((spec, lanes) in (small_graph(), 1u32..512)) {
         partial_batches_match_scalar_prefix_at(&spec, lanes);
+    }
+
+    /// One lane BFS scratch reused across graphs of growing and shrinking
+    /// size, full and partial blocks, agrees lane for lane with scalar BFS.
+    #[test]
+    fn reused_lane_bfs_matches_scalar_bfs(graphs in graph_sequence()) {
+        reused_lane_bfs_matches_scalar_bfs_at(&graphs);
     }
 }
 
