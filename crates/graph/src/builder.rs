@@ -79,28 +79,12 @@ impl GraphBuilder {
         b: VertexId,
         probability: Probability,
     ) -> Result<EdgeId, GraphError> {
-        if a == b {
-            return Err(GraphError::SelfLoop(a));
-        }
-        let n = self.weights.len();
-        for v in [a, b] {
-            if v.index() >= n {
-                return Err(GraphError::VertexOutOfBounds {
-                    vertex: v,
-                    vertex_count: n,
-                });
-            }
-        }
-        let key = (a.0.min(b.0), a.0.max(b.0));
-        if !self.seen.insert(key) {
+        let edge = checked_edge(a, b, probability, self.weights.len())?;
+        if !self.seen.insert((edge.source.0, edge.target.0)) {
             return Err(GraphError::DuplicateEdge { a, b });
         }
         let id = EdgeId::from_index(self.edges.len());
-        self.edges.push(Edge {
-            source: VertexId(key.0),
-            target: VertexId(key.1),
-            probability,
-        });
+        self.edges.push(edge);
         Ok(id)
     }
 
@@ -123,6 +107,36 @@ impl GraphBuilder {
     pub fn build(self) -> ProbabilisticGraph {
         ProbabilisticGraph::from_parts(self.weights, self.edges)
     }
+}
+
+/// The edge `a`–`b` of a graph with `vertex_count` vertices, endpoints in
+/// ascending order, after the per-edge rules every constructor applies: no
+/// self-loop, both endpoints exist (checked in that order, `a` first). The
+/// probability rule is the [`Probability`] type itself. Duplicates are the
+/// caller's to find: [`GraphBuilder`] keeps a set, `io::read_text` scans
+/// the built adjacency once.
+pub(crate) fn checked_edge(
+    a: VertexId,
+    b: VertexId,
+    probability: Probability,
+    vertex_count: usize,
+) -> Result<Edge, GraphError> {
+    if a == b {
+        return Err(GraphError::SelfLoop(a));
+    }
+    for v in [a, b] {
+        if v.index() >= vertex_count {
+            return Err(GraphError::VertexOutOfBounds {
+                vertex: v,
+                vertex_count,
+            });
+        }
+    }
+    Ok(Edge {
+        source: a.min(b),
+        target: a.max(b),
+        probability,
+    })
 }
 
 #[cfg(test)]

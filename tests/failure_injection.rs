@@ -214,14 +214,36 @@ fn enumeration_cap_propagates() {
 #[test]
 fn graph_io_failures_are_typed() {
     use flowmax::graph::io::read_text;
-    for bad in [
-        "wrong header\n",
-        "flowmax-graph v1\nnot-numbers\n",
-        "flowmax-graph v1\n2 1\n1\nnope\n0 1 0.5\n",
-        "flowmax-graph v1\n2 1\n1\n1\n0 0 0.5\n", // self loop
-        "flowmax-graph v1\n1 0\n-3\n",            // negative weight
+    // Parse errors are pinned by line, the others by their whole value.
+    let kind = |e: GraphError| match e {
+        GraphError::Parse { line, .. } => format!("Parse@{line}"),
+        e => format!("{e:?}"),
+    };
+    for (bad, expected) in [
+        ("wrong header\n", "Parse@1"),
+        ("flowmax-graph v1\nnot-numbers\n", "Parse@2"),
+        ("flowmax-graph v1\n2 1\n1\nnope\n0 1 0.5\n", "Parse@4"),
+        ("flowmax-graph v1\n2 1\n1\n1\n0 1\n", "Parse@5"),
+        ("flowmax-graph v1\n2 1 extra\n1\n1\n0 1 0.5\n", "Parse@2"),
+        ("flowmax-graph v1\n2 1\n1\n1\n0 1 0.5 junk\n", "Parse@5"),
+        ("flowmax-graph v1\n2 1\n1\n1\n0 0 0.5\n", "SelfLoop(v0)"),
+        ("flowmax-graph v1\n1 0\n-3\n", "InvalidWeight(-3.0)"),
+        (
+            "flowmax-graph v1\n2 1\n1\n1\n0 1 1.5\n",
+            "InvalidProbability(1.5)",
+        ),
+        // Duplicates in both orientations, named as the later line wrote them.
+        (
+            "flowmax-graph v1\n2 2\n1\n1\n0 1 0.5\n0 1 0.5\n",
+            "DuplicateEdge { a: v0, b: v1 }",
+        ),
+        (
+            "flowmax-graph v1\n2 2\n1\n1\n0 1 0.5\n1 0 0.5\n",
+            "DuplicateEdge { a: v1, b: v0 }",
+        ),
     ] {
-        assert!(read_text(Cursor::new(bad)).is_err(), "accepted {bad:?}");
+        let err = read_text(Cursor::new(bad)).unwrap_err();
+        assert_eq!(kind(err), expected, "{bad:?}");
     }
 }
 

@@ -255,6 +255,62 @@ fn load_accepts_spaced_paths_and_bare_commands_reject_garbage() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A graph file that fails to parse answers LOAD with exactly one `ERR`
+/// line naming the fault, loads nothing, and leaves the connection
+/// serving: the same client then LOADs and SOLVEs a good file.
+#[test]
+fn load_of_an_unparsable_graph_answers_one_err_line() {
+    let (graph, query) = test_graph();
+    let dir = std::env::temp_dir().join(format!("flowmax-serve-bad-load-{}", std::process::id()));
+    let good = write_graph(&graph, &dir, "good.txt");
+    let duplicate = dir.join("duplicate.txt");
+    std::fs::write(
+        &duplicate,
+        "flowmax-graph v1\n3 3\n1\n1\n1\n0 1 0.5\n1 2 0.5\n1 0 0.25\n",
+    )
+    .expect("write duplicate-edge file");
+    // Line 7 carries the probability that does not parse.
+    let bad_probability = dir.join("bad-probability.txt");
+    std::fs::write(
+        &bad_probability,
+        "flowmax-graph v1\n3 2\n1\n1\n1\n0 1 0.5\n1 2 half\n",
+    )
+    .expect("write bad-probability file");
+
+    let (mut guard, port) = spawn_daemon(&["--threads", "1"]);
+    let mut client = Client::connect(port);
+
+    let (steps, err) = client.roundtrip(&format!("LOAD {}", duplicate.display()));
+    assert!(steps.is_empty(), "{steps:?}");
+    assert!(
+        err.starts_with("ERR cannot parse ") && err.contains("duplicate undirected edge (v1, v0)"),
+        "{err}"
+    );
+    let (steps, err) = client.roundtrip(&format!("LOAD {}", bad_probability.display()));
+    assert!(steps.is_empty(), "{steps:?}");
+    assert!(
+        err.starts_with("ERR cannot parse ")
+            && err.contains("parse error on line 7: bad probability"),
+        "{err}"
+    );
+    // Neither failed LOAD left a graph behind, and no stray line is
+    // queued ahead of this reply.
+    let (_, stats) = client.roundtrip("STATS");
+    assert!(stats.starts_with("OK STATS resident=0 "), "{stats}");
+
+    let fp = client.load(&good);
+    let (_, result) = client.roundtrip(&format!(
+        "SOLVE {fp} query={} budget=2 samples=100 seed=5",
+        query.0
+    ));
+    assert!(result.starts_with("OK RESULT flow="), "{result}");
+
+    let (_, bye) = client.roundtrip("SHUTDOWN");
+    assert_eq!(bye, "OK BYE");
+    wait_for_clean_exit(&mut guard);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `--lanes` survives only as a compatibility option: the daemon starts
 /// with the one lane width it samples at, and refuses to start with any
 /// other value, naming the option.
