@@ -15,16 +15,25 @@
 //! and graphs diffed; SNAP-style edge-list ingestion with synthesized
 //! probabilities lives in `flowmax-datasets`.
 //!
-//! [`read_text`] streams: it reads one line at a time into a reused buffer,
-//! so beyond the graph itself it holds at most one line of the file. Lines
-//! are trimmed of Unicode whitespace; blank lines and `#` comments are
-//! skipped. A counts or edge line with a token after its last field is a
-//! parse error. Duplicate edges are found after the CSR adjacency is built,
-//! in one pass over it, and reported as the first one in file order, ahead
-//! of any later error — the same error an in-order check would give.
+//! [`read_text`] parses the caller's `BufRead` in place, one `fill_buf`
+//! chunk at a time: a line that lies whole in the chunk is parsed where it
+//! lies, and only a line that runs past the chunk's end is copied, into one
+//! reused carry buffer. So beyond the graph it holds the reader's buffer and
+//! at most one line of the file. Every line must be UTF-8, comments
+//! included; only a line with a byte above 0x7F needs the check.
+//!
+//! Tokens are split at whitespace as `char::is_whitespace` defines it: in
+//! ASCII that is space, `\t`, VT, FF and `\r` (`\n` ends the line), beyond
+//! it every Unicode space such as NBSP or U+3000. Blank lines and lines
+//! whose first token starts with `#` are skipped, but still counted in line
+//! numbers. A counts or edge line with a token after its last field is a
+//! parse error, and so is any line after the last declared edge that is
+//! neither blank nor a comment. Duplicate edges are found after the CSR
+//! adjacency is built, in one pass over it, and reported as the first one
+//! in file order, ahead of any later error — the same error an in-order
+//! check would give.
 
-use std::io::{BufRead, Write};
-use std::str::SplitWhitespace;
+use std::io::{BufRead, ErrorKind, Write};
 
 use crate::builder::checked_edge;
 use crate::error::GraphError;
@@ -41,6 +50,33 @@ const HEADER: &str = "flowmax-graph v1";
 /// actually arrive.
 const MAX_PREALLOCATION: usize = 1 << 20;
 
+/// Byte class of a token byte.
+const TOKEN: u8 = 0;
+/// Byte class of ASCII whitespace.
+const SPACE: u8 = 1;
+/// Byte class of the bytes above 0x7F, which start or continue a
+/// non-ASCII char that may be whitespace.
+const WIDE: u8 = 2;
+
+/// The class of every byte. `SPACE` is exactly the set of ASCII bytes
+/// `char::is_whitespace` accepts, VT included, which
+/// `u8::is_ascii_whitespace` leaves out.
+const CLASS: [u8; 256] = {
+    let mut class = [TOKEN; 256];
+    let mut b = 0x80;
+    while b < 256 {
+        class[b] = WIDE;
+        b += 1;
+    }
+    let mut i = 0;
+    let spaces = [b' ', b'\t', b'\n', 0x0b, 0x0c, b'\r'];
+    while i < spaces.len() {
+        class[spaces[i] as usize] = SPACE;
+        i += 1;
+    }
+    class
+};
+
 /// A [`GraphError::Parse`] at `line`. Cold, so that the field parsers on
 /// the per-line path stay small enough to inline.
 #[cold]
@@ -53,7 +89,6 @@ fn parse_error(line: usize, message: std::fmt::Arguments<'_>) -> GraphError {
 }
 
 /// Parses one whitespace-separated field of line `line`.
-#[inline(always)]
 fn parse_field<T>(tok: Option<&str>, line: usize, what: &str) -> Result<T, GraphError>
 where
     T: std::str::FromStr,
@@ -66,71 +101,333 @@ where
     }
 }
 
-/// Fails if line `line` has a token left after its `last` field.
-fn end_of_line(mut rest: SplitWhitespace<'_>, line: usize, last: &str) -> Result<(), GraphError> {
-    match rest.next() {
-        None => Ok(()),
-        Some(tok) => Err(parse_error(
-            line,
+/// The width of the char `rest` starts with, if that char is whitespace.
+/// `rest` starts with a byte above 0x7F.
+#[cold]
+#[inline(never)]
+fn wide_space(rest: &[u8]) -> Option<usize> {
+    let head = &rest[..rest.len().min(4)];
+    let c = head.utf8_chunks().next()?.valid().chars().next()?;
+    c.is_whitespace().then_some(c.len_utf8())
+}
+
+/// The index of the first `\n` in `bytes`, found a word at a time.
+fn newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let (words, rest) = bytes.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        // Zero bytes of `x` are `\n`s; the lowest flag is exact.
+        let x = u64::from_le_bytes(*word) ^ (ONES * u64::from(b'\n'));
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = rest.iter().position(|&b| b == b'\n')?;
+    Some(words.len() * 8 + tail)
+}
+
+/// A cursor over one line, without its `\n`, that splits it into tokens at
+/// whitespace.
+struct Tokens<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// 1-based number of the line.
+    line: usize,
+}
+
+impl<'a> Tokens<'a> {
+    /// Moves past the whitespace at the cursor.
+    #[inline(always)]
+    fn skip_space(&mut self) {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            self.pos += match CLASS[usize::from(b)] {
+                TOKEN => return,
+                SPACE => 1,
+                _ => match wide_space(&self.bytes[self.pos..]) {
+                    Some(width) => width,
+                    None => return,
+                },
+            };
+        }
+    }
+
+    /// Whether only whitespace is left of the line.
+    #[inline(always)]
+    fn at_end(&mut self) -> bool {
+        self.skip_space();
+        self.pos == self.bytes.len()
+    }
+
+    /// The next token: empty if only whitespace is left.
+    #[inline(always)]
+    fn token(&mut self) -> &'a [u8] {
+        self.skip_space();
+        let start = self.pos;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            match CLASS[usize::from(b)] {
+                TOKEN => {}
+                SPACE => break,
+                _ if wide_space(&self.bytes[self.pos..]).is_some() => break,
+                _ => {}
+            }
+            self.pos += 1;
+        }
+        &self.bytes[start..self.pos]
+    }
+
+    /// [`parse_field`] on `tok`, a token of this line; empty means the
+    /// field is missing. The line is UTF-8, so `tok` converts losslessly.
+    #[cold]
+    #[inline(never)]
+    fn field<T>(&self, tok: &[u8], what: &str) -> Result<T, GraphError>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        let tok = String::from_utf8_lossy(tok);
+        parse_field((!tok.is_empty()).then_some(&*tok), self.line, what)
+    }
+
+    /// The next token as a `what`.
+    fn parse<T>(&mut self, what: &str) -> Result<T, GraphError>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        let tok = self.token();
+        self.field(tok, what)
+    }
+
+    /// The next token as a vertex id, read as decimal digits. Anything
+    /// else — a `+`, a wide char after the digits, an overflow, no digit at
+    /// all — goes to [`Self::field`], so the ids accepted and the errors
+    /// given are exactly those of `u32::from_str`.
+    #[inline(always)]
+    fn vertex(&mut self, what: &str) -> Result<u32, GraphError> {
+        self.skip_space();
+        let start = self.pos;
+        let mut id: u32 = 0;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                break;
+            }
+            match id
+                .checked_mul(10)
+                .and_then(|x| x.checked_add(u32::from(digit)))
+            {
+                Some(x) => id = x,
+                None => break,
+            }
+            self.pos += 1;
+        }
+        let ended = self
+            .bytes
+            .get(self.pos)
+            .is_none_or(|&b| CLASS[usize::from(b)] == SPACE);
+        if self.pos > start && ended {
+            return Ok(id);
+        }
+        self.pos = start;
+        self.parse(what)
+    }
+
+    /// The next token as a `what`, by `f64::from_str`.
+    #[inline(always)]
+    fn number(&mut self, what: &str) -> Result<f64, GraphError> {
+        let tok = self.token();
+        match std::str::from_utf8(tok).map(str::parse) {
+            Ok(Ok(x)) => Ok(x),
+            _ => self.field(tok, what),
+        }
+    }
+
+    /// Fails if a token is left after the `last` field.
+    #[inline(always)]
+    fn end(&mut self, last: &str) -> Result<(), GraphError> {
+        if self.at_end() {
+            Ok(())
+        } else {
+            Err(self.unexpected(last))
+        }
+    }
+
+    /// The error for the token at the cursor, which comes after the `last`
+    /// thing the line or the file may hold.
+    #[cold]
+    #[inline(never)]
+    fn unexpected(&mut self, last: &str) -> GraphError {
+        let tok = String::from_utf8_lossy(self.token());
+        parse_error(
+            self.line,
             format_args!("unexpected {tok:?} after the {last}"),
-        )),
+        )
+    }
+
+    /// The whole line, trimmed, as it reads in error messages.
+    #[cold]
+    fn text(&self) -> String {
+        String::from_utf8_lossy(self.bytes).trim().to_string()
     }
 }
 
-/// The lines of a graph file, read one at a time into a reused buffer.
+/// The reader's buffered bytes, refilled if empty: empty only at the end of
+/// the input. A read error fails line `line`; `Interrupted` is retried, as
+/// `BufRead::read_until` retries it.
+fn fill<R: BufRead>(input: &mut R, line: usize) -> Result<&[u8], GraphError> {
+    loop {
+        match input.fill_buf() {
+            Ok([]) => return Ok(&[]),
+            Ok(_) => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(parse_error(line, format_args!("{e}"))),
+        }
+    }
+    // The buffer holds bytes now, so this returns them without reading.
+    input
+        .fill_buf()
+        .map_err(|e| parse_error(line, format_args!("{e}")))
+}
+
+/// Parses line `line`, its bytes without the `\n`, with `parse`: `None` if
+/// it is blank or a comment.
+fn parse_line<T>(
+    bytes: &[u8],
+    line: usize,
+    parse: &mut impl FnMut(Tokens<'_>) -> Result<T, GraphError>,
+) -> Result<Option<T>, GraphError> {
+    if !bytes.is_ascii() && std::str::from_utf8(bytes).is_err() {
+        // `BufRead::read_line`'s wording for the same fault.
+        return Err(parse_error(
+            line,
+            format_args!("stream did not contain valid UTF-8"),
+        ));
+    }
+    let mut tokens = Tokens {
+        bytes,
+        pos: 0,
+        line,
+    };
+    tokens.skip_space();
+    match bytes.get(tokens.pos) {
+        None | Some(b'#') => Ok(None),
+        Some(_) => parse(tokens).map(Some),
+    }
+}
+
+/// The lines of a graph file, parsed where they lie in the reader's buffer.
 struct Lines<R> {
     input: R,
-    buf: Vec<u8>,
-    /// 1-based number of the line in `buf`.
+    /// The last line that ran past the end of the reader's buffer,
+    /// gathered whole without its `\n`.
+    carry: Vec<u8>,
+    /// 1-based number of the last line read.
     line: usize,
 }
 
 impl<R: BufRead> Lines<R> {
-    /// Hands the next line that is neither blank nor a comment, trimmed,
-    /// with its number to `parse`. `what` names it in the EOF error.
+    /// Hands the next line that is neither blank nor a comment to `parse`,
+    /// as tokens at its first one; `None` at the end of the input.
+    fn next<T>(
+        &mut self,
+        mut parse: impl FnMut(Tokens<'_>) -> Result<T, GraphError>,
+    ) -> Result<Option<T>, GraphError> {
+        loop {
+            self.line += 1;
+            let chunk = fill(&mut self.input, self.line)?;
+            if chunk.is_empty() {
+                return Ok(None);
+            }
+            let parsed = match newline(chunk) {
+                Some(end) => {
+                    let parsed = parse_line(&chunk[..end], self.line, &mut parse);
+                    self.input.consume(end + 1);
+                    parsed
+                }
+                None => {
+                    self.carry_line()?;
+                    parse_line(&self.carry, self.line, &mut parse)
+                }
+            };
+            if let Some(parsed) = parsed.transpose() {
+                return parsed.map(Some);
+            }
+        }
+    }
+
+    /// [`Self::next`], where the end of the input is an error naming the
+    /// `what` that was expected.
     fn parse<T>(
         &mut self,
         what: &str,
-        parse: impl FnOnce(usize, &str) -> Result<T, GraphError>,
+        parse: impl FnMut(Tokens<'_>) -> Result<T, GraphError>,
     ) -> Result<T, GraphError> {
+        match self.next(parse)? {
+            Some(value) => Ok(value),
+            None => Err(parse_error(
+                0,
+                format_args!("unexpected EOF, expected {what}"),
+            )),
+        }
+    }
+
+    /// Moves the line that starts in the reader's buffer and runs past its
+    /// end into `carry`, reading on to the line's `\n` or the end of the
+    /// input.
+    #[inline(never)]
+    fn carry_line(&mut self) -> Result<(), GraphError> {
+        self.carry.clear();
         loop {
-            self.buf.clear();
-            self.line += 1;
-            let read = self.input.read_until(b'\n', &mut self.buf);
-            let text = match read {
-                Ok(0) => {
-                    return Err(parse_error(
-                        0,
-                        format_args!("unexpected EOF, expected {what}"),
-                    ))
-                }
-                Ok(_) => std::str::from_utf8(&self.buf).map_err(|_| {
-                    // `BufRead::read_line`'s wording for the same fault.
-                    parse_error(
-                        self.line,
-                        format_args!("stream did not contain valid UTF-8"),
-                    )
-                })?,
-                Err(e) => return Err(parse_error(self.line, format_args!("{e}"))),
-            };
-            let text = text.trim();
-            if !text.is_empty() && !text.starts_with('#') {
-                return parse(self.line, text);
+            let chunk = fill(&mut self.input, self.line)?;
+            if chunk.is_empty() {
+                return Ok(());
             }
+            if let Some(end) = newline(chunk) {
+                self.carry.extend_from_slice(&chunk[..end]);
+                self.input.consume(end + 1);
+                return Ok(());
+            }
+            self.carry.extend_from_slice(chunk);
+            let used = chunk.len();
+            self.input.consume(used);
         }
     }
 }
 
-/// Parses edge line `line`: `<u> <v> <probability>`.
-fn parse_edge(line: usize, text: &str) -> Result<(VertexId, VertexId, f64), GraphError> {
-    let mut it = text.split_whitespace();
+/// Parses an edge line: `<u> <v> <probability>`.
+fn parse_edge(mut tokens: Tokens<'_>) -> Result<(VertexId, VertexId, f64), GraphError> {
     // Vertex ids are `u32`: a wider endpoint is a parse error, not a
     // silently truncated id.
-    let u: u32 = parse_field(it.next(), line, "edge source")?;
-    let v: u32 = parse_field(it.next(), line, "edge target")?;
-    let p: f64 = parse_field(it.next(), line, "probability")?;
-    end_of_line(it, line, "probability")?;
+    let u = tokens.vertex("edge source")?;
+    let v = tokens.vertex("edge target")?;
+    let p = tokens.number("probability")?;
+    tokens.end("probability")?;
     Ok((VertexId(u), VertexId(v), p))
+}
+
+/// Reads `edge_count` edge lines into `edges`, setting bit `i` of `flipped`
+/// when edge `i` was written with its larger endpoint first, and then the
+/// rest of the file, which may hold only blank and comment lines.
+fn read_edges<R: BufRead>(
+    lines: &mut Lines<R>,
+    edge_count: usize,
+    vertex_count: usize,
+    edges: &mut Vec<Edge>,
+    flipped: &mut Vec<u64>,
+) -> Result<(), GraphError> {
+    for i in 0..edge_count {
+        let (u, v, p) = lines.parse("edge", parse_edge)?;
+        edges.push(checked_edge(u, v, Probability::new(p)?, vertex_count)?);
+        if i % 64 == 0 {
+            flipped.push(0);
+        }
+        flipped[i / 64] |= u64::from(u > v) << (i % 64);
+    }
+    lines
+        .next(|mut tokens| Err::<(), _>(tokens.unexpected("last declared edge")))
+        .map(drop)
 }
 
 /// The first duplicate edge of `graph` in edge-id order: the smallest id
@@ -200,56 +497,57 @@ pub fn write_text<W: Write>(graph: &ProbabilisticGraph, mut out: W) -> std::io::
 pub fn read_text<R: BufRead>(input: R) -> Result<ProbabilisticGraph, GraphError> {
     let mut lines = Lines {
         input,
-        buf: Vec::new(),
+        carry: Vec::new(),
         line: 0,
     };
-    lines.parse("header", |n, header| {
-        if header == HEADER {
-            Ok(())
-        } else {
-            Err(parse_error(n, format_args!("bad header {header:?}")))
+    lines.parse("header", |mut tokens| {
+        let rest = &tokens.bytes[tokens.pos..];
+        if rest.starts_with(HEADER.as_bytes()) {
+            tokens.pos += HEADER.len();
+            if tokens.at_end() {
+                return Ok(());
+            }
         }
+        let header = tokens.text();
+        Err(parse_error(
+            tokens.line,
+            format_args!("bad header {header:?}"),
+        ))
     })?;
-    let (vertex_count, edge_count) = lines.parse("counts", |n, counts| {
-        let mut it = counts.split_whitespace();
-        let vertex_count: usize = parse_field(it.next(), n, "vertex count")?;
-        let edge_count: usize = parse_field(it.next(), n, "edge count")?;
-        end_of_line(it, n, "edge count")?;
+    let (vertex_count, edge_count) = lines.parse("counts", |mut tokens| {
+        let vertex_count: usize = tokens.parse("vertex count")?;
+        let edge_count: usize = tokens.parse("edge count")?;
+        tokens.end("edge count")?;
         Ok((vertex_count, edge_count))
     })?;
 
     let mut weights = Vec::with_capacity(vertex_count.min(MAX_PREALLOCATION));
     for _ in 0..vertex_count {
-        let w: f64 = lines.parse("vertex weight", |n, s| {
-            s.parse()
-                .map_err(|e| parse_error(n, format_args!("bad weight: {e}")))
+        // The whole line is one number: the weight.
+        let w = lines.parse("vertex weight", |mut tokens| {
+            let w = tokens.number("weight");
+            match w {
+                Ok(w) if tokens.at_end() => Ok(w),
+                _ => parse_field(Some(&tokens.text()), tokens.line, "weight"),
+            }
         })?;
         weights.push(Weight::new(w)?);
     }
     let mut edges = Vec::with_capacity(edge_count.min(MAX_PREALLOCATION));
     let mut flipped: Vec<u64> = Vec::new();
-    for i in 0..edge_count {
-        let edge = lines.parse("edge", parse_edge).and_then(|(u, v, p)| {
-            let edge = checked_edge(u, v, Probability::new(p)?, weights.len())?;
-            Ok((edge, u > v))
-        });
-        match edge {
-            Ok((edge, flip)) => {
-                if i % 64 == 0 {
-                    flipped.push(0);
-                }
-                flipped[i / 64] |= u64::from(flip) << (i % 64);
-                edges.push(edge);
-            }
-            // A duplicate among the edges before this line comes first.
-            Err(err) => {
-                return Err(build_without_duplicates(weights, edges, &flipped)
-                    .err()
-                    .unwrap_or(err))
-            }
-        }
+    let read = read_edges(
+        &mut lines,
+        edge_count,
+        weights.len(),
+        &mut edges,
+        &mut flipped,
+    );
+    // A duplicate among the edges before a faulty line comes first.
+    let built = build_without_duplicates(weights, edges, &flipped);
+    match read {
+        Ok(()) => built,
+        Err(err) => Err(built.err().unwrap_or(err)),
     }
-    build_without_duplicates(weights, edges, &flipped)
 }
 
 /// Writes `graph` in Graphviz DOT format for visualization. Vertices are
@@ -382,6 +680,47 @@ mod tests {
         // Trailing whitespace, CRLF endings and Unicode spaces are not tokens.
         let text = "flowmax-graph v1\r\n2 1 \t\r\n1\r\n1\r\n0\u{a0}1 0.5\u{3000}\r\n";
         assert_eq!(read_text(Cursor::new(text)).unwrap().edge_count(), 1);
+        // Nor may a line follow the last declared edge, but for blank and
+        // comment lines, with or without a last `\n`.
+        let text = "flowmax-graph v1\n3 1\n1\n1\n1\n0 1 0.5\n1 2 0.5\n";
+        let err = read_text(Cursor::new(text)).unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 7, .. }), "{err:?}");
+        let text = "flowmax-graph v1\n1 0\n1\n\n# the end\n\t\n2\n";
+        let err = read_text(Cursor::new(text)).unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 7, .. }), "{err:?}");
+        let text = "flowmax-graph v1\n2 1\n1\n1\n0 1 0.5\n\n# the end\n \u{a0}";
+        assert_eq!(read_text(Cursor::new(text)).unwrap().edge_count(), 1);
+        // A duplicate before the stray line is the first fault.
+        let text = "flowmax-graph v1\n2 2\n1\n1\n0 1 0.5\n1 0 0.5\n0 1 0.5\n";
+        let err = read_text(Cursor::new(text)).unwrap_err();
+        assert!(matches!(err, GraphError::DuplicateEdge { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn ascii_spaces_are_those_of_char_is_whitespace() {
+        for b in 0..0x80u8 {
+            let space = CLASS[usize::from(b)] == SPACE;
+            assert_eq!(space, char::from(b).is_whitespace(), "byte {b:#04x}");
+        }
+        assert!(CLASS[0x80..].iter().all(|&class| class == WIDE));
+    }
+
+    #[test]
+    fn newlines_are_found_at_every_offset() {
+        for len in 0..40 {
+            for at in 0..=len {
+                let mut bytes = vec![b'x'; len];
+                if at < len {
+                    bytes[at] = b'\n';
+                    bytes[len - 1] = b'\n';
+                }
+                let expected = bytes.iter().position(|&b| b == b'\n');
+                assert_eq!(newline(&bytes), expected, "len {len}, at {at}");
+            }
+        }
+        // Bytes that differ from `\n` by one bit are not line ends.
+        let near: Vec<u8> = (0..8).map(|bit| b'\n' ^ (1 << bit)).collect();
+        assert_eq!(newline(&near), None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Differential property tests of [`read_text`] against
 //! [`reference_read_text`], a copy of the reader as it was before it
 //! streamed: it read through `BufRead::lines`, checked each edge against a
-//! hash set of the pairs before it, and ignored tokens after the last field
-//! of a counts or edge line.
+//! hash set of the pairs before it, ignored tokens after the last field of
+//! a counts or edge line, and stopped reading after the last declared edge.
 //!
 //! * On `write_text` round trips of random graphs both readers return the
 //!   written graph: the same weights and edges bit for bit, the same CSR
@@ -11,11 +11,15 @@
 //!   byte flips including non-UTF-8 bytes, CRLF endings, comments and blank
 //!   lines, Unicode whitespace, duplicate edges in either orientation
 //!   followed by a bad line, hostile header counts, extra tokens) both
-//!   return equal `Result`s, with one exception: where the reference
-//!   ignored a trailing token, `read_text` fails with a parse error at that
-//!   line.
+//!   return equal `Result`s, with two exceptions: where the reference
+//!   ignored a trailing token, or stopped reading before a line after the
+//!   last declared edge that is neither blank nor a comment, `read_text`
+//!   fails with a parse error at that line.
+//! * Every text reads the same through `BufReader`s of 1, 2, 3, 7 and 64
+//!   bytes as through a `Cursor`, which hands it over whole, so lines
+//!   split across chunks are pinned too.
 
-use std::io::{BufRead, Cursor};
+use std::io::{BufRead, BufReader, Cursor};
 
 use flowmax_graph::io::{read_text, write_text};
 use flowmax_graph::{GraphBuilder, GraphError, ProbabilisticGraph, Probability, VertexId, Weight};
@@ -39,12 +43,13 @@ where
 }
 
 /// The line-at-a-time, hash-set reader `read_text` replaced, unchanged
-/// except that it also returns the first line whose trailing tokens it
-/// ignored.
+/// except that it also returns the first line whose content it ignored: a
+/// token after the last field of a counts or edge line, or a line after the
+/// last declared edge that is neither blank nor a comment.
 fn reference_read_text<R: BufRead>(
     input: R,
 ) -> (Result<ProbabilisticGraph, GraphError>, Option<usize>) {
-    let mut trailing = None;
+    let mut ignored = None;
     let result = (|| {
         let mut lines =
             input
@@ -86,7 +91,7 @@ fn reference_read_text<R: BufRead>(
         let vertex_count: usize = parse_field(it.next(), n, "vertex count")?;
         let edge_count: usize = parse_field(it.next(), n, "edge count")?;
         if it.next().is_some() {
-            trailing.get_or_insert(n);
+            ignored.get_or_insert(n);
         }
 
         let mut builder =
@@ -116,13 +121,16 @@ fn reference_read_text<R: BufRead>(
                     message: format!("bad probability: {e}"),
                 })?;
             if it.next().is_some() {
-                trailing.get_or_insert(ln);
+                ignored.get_or_insert(ln);
             }
             builder.add_edge(VertexId(u), VertexId(v), Probability::new(p)?)?;
         }
+        if let Some((n, _)) = lines.next() {
+            ignored.get_or_insert(n);
+        }
         Ok(builder.build())
     })();
-    (result, trailing)
+    (result, ignored)
 }
 
 /// Everything a loaded graph is, as comparable bits.
@@ -158,13 +166,25 @@ fn loaded(graph: &ProbabilisticGraph) -> Loaded {
     }
 }
 
+/// `read_text` of `text` through a `Cursor`, after checking that reading
+/// it in chunks of 1, 2, 3, 7 and 64 bytes gives the same result.
 fn new_result(text: &[u8]) -> Result<Loaded, GraphError> {
-    read_text(Cursor::new(text)).map(|g| loaded(&g))
+    let whole = read_text(Cursor::new(text)).map(|g| loaded(&g));
+    for capacity in [1, 2, 3, 7, 64] {
+        let chunked = read_text(BufReader::with_capacity(capacity, text)).map(|g| loaded(&g));
+        assert_eq!(
+            chunked,
+            whole,
+            "in chunks of {capacity} bytes: {:?}",
+            String::from_utf8_lossy(text)
+        );
+    }
+    whole
 }
 
 fn reference_result(text: &[u8]) -> (Result<Loaded, GraphError>, Option<usize>) {
-    let (result, trailing) = reference_read_text(Cursor::new(text));
-    (result.map(|g| loaded(&g)), trailing)
+    let (result, ignored) = reference_read_text(Cursor::new(text));
+    (result.map(|g| loaded(&g)), ignored)
 }
 
 #[derive(Debug, Clone)]
@@ -349,15 +369,15 @@ fn mutate(lines: &mut Vec<Vec<u8>>, kind: u8, i: usize, j: usize, byte: u8) {
     }
 }
 
-/// The differential rule: equal results, except that a trailing token the
-/// reference ignored is a parse error at its line.
+/// The differential rule: equal results, except that content the reference
+/// ignored is a parse error at its line.
 fn assert_agrees(text: &[u8]) {
-    let (expected, trailing) = reference_result(text);
+    let (expected, ignored) = reference_result(text);
     let got = new_result(text);
-    match trailing {
+    match ignored {
         Some(line) => assert!(
             matches!(got, Err(GraphError::Parse { line: l, .. }) if l == line),
-            "trailing token on line {line} of {:?}: got {got:?}",
+            "ignored content on line {line} of {:?}: got {got:?}",
             String::from_utf8_lossy(text)
         ),
         None => assert_eq!(got, expected, "on {:?}", String::from_utf8_lossy(text)),
@@ -371,8 +391,8 @@ proptest! {
     fn round_trips_load_the_written_graph_bit_for_bit(spec in graph_spec()) {
         let graph = build(&spec);
         let text: Vec<u8> = text_lines(&graph).concat();
-        let (reference, trailing) = reference_result(&text);
-        prop_assert_eq!(trailing, None);
+        let (reference, ignored) = reference_result(&text);
+        prop_assert_eq!(ignored, None);
         prop_assert_eq!(&new_result(&text), &Ok(loaded(&graph)));
         prop_assert_eq!(new_result(&text), reference);
     }
@@ -414,9 +434,9 @@ proptest! {
         let token = format!("{}junk", SPACES[space]);
         lines[at].splice(end..end, token.bytes());
         let text = lines.concat();
-        let (reference, trailing) = reference_result(&text);
+        let (reference, ignored) = reference_result(&text);
         prop_assert!(reference.is_ok());
-        prop_assert_eq!(trailing, Some(at + 1));
+        prop_assert_eq!(ignored, Some(at + 1));
         prop_assert!(matches!(new_result(&text), Err(GraphError::Parse { line, .. }) if line == at + 1));
     }
 }
@@ -433,8 +453,42 @@ fn invalid_utf8_and_io_errors_name_the_line_like_the_reference() {
         b"\xef\xbb\xbfflowmax-graph v1\n1 0\n1\n",
         b"flowmax-graph v1\n2 1\n1\n1\n0 1 0.5",
         b"flowmax-graph v1\n2 1\n1\n1\n0 1 0.5\r",
+        // A line after the last declared edge, then one after a comment.
+        b"flowmax-graph v1\n3 1\n1\n1\n1\n0 1 0.5\n1 2 0.5\n",
+        b"flowmax-graph v1\n2 0\n1\n1\n\n# done\n \x0b\n0 1 0.5\n",
+        b"flowmax-graph v1\n2 1\n1\n1\n0 1 0.5\n# \xff\n",
     ] {
         assert_agrees(text);
+    }
+
+    // Every class of whitespace `char::is_whitespace` accepts: VT and FF
+    // (which `u8::is_ascii_whitespace` leaves out, the former), a lone
+    // `\r` inside a line, NEL, NBSP and U+3000.
+    for s in ["\u{b}", "\u{c}", "\r", "\u{85}", "\u{a0}", "\u{3000}"] {
+        // As padding on the header, counts, weight and edge lines, and as
+        // the separator of the counts and edge lines.
+        let padded = format!(
+            "{s}flowmax-graph v1{s}\n{s}3{s}{s}2{s}\n{s}1{s}\n2.5\n{s}{s}0.5{s}\n\
+             {s}0{s}1{s}0.25{s}\n2{s}{s}1{s}1e-3{s}\n"
+        );
+        assert_agrees(padded.as_bytes());
+        let graph = new_result(padded.as_bytes()).unwrap();
+        assert_eq!(
+            graph.edges,
+            [(0, 1, 0.25f64.to_bits()), (1, 2, 1e-3f64.to_bits())]
+        );
+        // Inside the header or a weight it splits what must be one token;
+        // on an edge line it ends the line early or starts a trailing one.
+        for text in [
+            format!("flowmax-graph{s}v1\n1 0\n1\n"),
+            format!("flowmax-graph v1\n2 1\n1{s}5\n1\n0 1 0.5\n"),
+            format!("flowmax-graph v1\n2 1\n1\n1\n0 1{s}\n"),
+            format!("flowmax-graph v1\n2 1\n1\n1\n0 1 0.5{s}7\n"),
+            format!("flowmax-graph v1\n2{s}1{s}7\n1\n1\n0 1 0.5\n"),
+        ] {
+            assert_agrees(text.as_bytes());
+            assert!(new_result(text.as_bytes()).is_err(), "{text:?}");
+        }
     }
 
     /// Fails every read after the first `ok` bytes.

@@ -19,9 +19,10 @@
 //!   thresholds, classified once at the `crate::coin` boundary.
 //! * **L6** — no `println!`/`eprintln!`/`dbg!` in library code.
 //! * **L7** — no `.unwrap()` / `.expect()` in the serving request paths
-//!   (`crates/core/src/serve.rs` and `src/bin/**`): one bad request must
-//!   degrade to an `ERR` line or a failed ticket, never take a connection
-//!   handler or the dispatcher down with a panic.
+//!   (`crates/core/src/serve.rs`, the graph loader `crates/graph/src/io.rs`
+//!   that parses every client-supplied `LOAD` file, and `src/bin/**`): one
+//!   bad request must degrade to an `ERR` line or a failed ticket, never
+//!   take a connection handler or the dispatcher down with a panic.
 //!
 //! A violating line can be excused with
 //! `// flowmax-lint: allow(LN, reason)` on the same line or on the
@@ -186,8 +187,9 @@ const L3_PATTERNS: [&str; 5] = [
     "env::vars",
 ];
 const L6_PATTERNS: [&str; 5] = ["println!", "eprintln!", "print!", "eprint!", "dbg!"];
-/// The serving request path protected by L7 alongside every `src/bin/` file.
-const SERVE_FILE: &str = "crates/core/src/serve.rs";
+/// The serving request paths protected by L7 alongside every `src/bin/`
+/// file: the serving front-end, and the graph loader every `LOAD` runs.
+const L7_FILES: [&str; 2] = ["crates/core/src/serve.rs", "crates/graph/src/io.rs"];
 /// The trailing `(` keeps `unwrap_or`, `unwrap_or_else`, and `expect_err`
 /// out of scope — those are graceful-handling idioms, not panics.
 const L7_PATTERNS: [&str; 2] = [".unwrap(", ".expect("];
@@ -223,7 +225,7 @@ pub fn lint_source(rel: &str, source: &str, allowlist: &Allowlist) -> FileReport
     let l3_applies = kind == FileKind::Lib;
     let l5_applies = rel == KERNEL_FILE;
     let l6_applies = kind == FileKind::Lib;
-    let l7_applies = rel == SERVE_FILE || kind == FileKind::Bin;
+    let l7_applies = L7_FILES.contains(&rel) || kind == FileKind::Bin;
 
     let hash_idents = if l1_applies {
         collect_hash_idents(&lines, &tests)

@@ -158,6 +158,21 @@ fn l7_fires_on_unwrap_in_serving_request_paths_only() {
 }
 
 #[test]
+fn l7_fires_on_unwrap_in_the_graph_loader() {
+    let src = fixture("l7_loader.rs");
+    let report = lint_source("crates/graph/src/io.rs", &src, &Allowlist::empty());
+    let lines: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == RuleId::L7)
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(lines, [5, 10], "the try_into unwrap and the expect");
+    // The rest of the graph crate is library code, which may unwrap.
+    assert!(rules_fired("crates/graph/src/builder.rs", &src, &Allowlist::empty()).is_empty());
+}
+
+#[test]
 fn reasoned_suppressions_are_honored_and_counted() {
     let src = fixture("suppressed.rs");
     let report = lint_source("crates/sampling/src/fixture.rs", &src, &Allowlist::empty());

@@ -226,6 +226,11 @@ fn graph_io_failures_are_typed() {
         ("flowmax-graph v1\n2 1\n1\n1\n0 1\n", "Parse@5"),
         ("flowmax-graph v1\n2 1 extra\n1\n1\n0 1 0.5\n", "Parse@2"),
         ("flowmax-graph v1\n2 1\n1\n1\n0 1 0.5 junk\n", "Parse@5"),
+        // A line after the last declared edge.
+        (
+            "flowmax-graph v1\n3 1\n1\n1\n1\n0 1 0.5\n1 2 0.5\n",
+            "Parse@7",
+        ),
         ("flowmax-graph v1\n2 1\n1\n1\n0 0 0.5\n", "SelfLoop(v0)"),
         ("flowmax-graph v1\n1 0\n-3\n", "InvalidWeight(-3.0)"),
         (

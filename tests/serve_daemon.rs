@@ -276,6 +276,13 @@ fn load_of_an_unparsable_graph_answers_one_err_line() {
         "flowmax-graph v1\n3 2\n1\n1\n1\n0 1 0.5\n1 2 half\n",
     )
     .expect("write bad-probability file");
+    // Line 7 is an edge the counts line does not declare.
+    let extra_edge = dir.join("extra-edge.txt");
+    std::fs::write(
+        &extra_edge,
+        "flowmax-graph v1\n3 1\n1\n1\n1\n0 1 0.5\n1 2 0.5\n",
+    )
+    .expect("write extra-edge file");
 
     let (mut guard, port) = spawn_daemon(&["--threads", "1"]);
     let mut client = Client::connect(port);
@@ -293,7 +300,14 @@ fn load_of_an_unparsable_graph_answers_one_err_line() {
             && err.contains("parse error on line 7: bad probability"),
         "{err}"
     );
-    // Neither failed LOAD left a graph behind, and no stray line is
+    let (steps, err) = client.roundtrip(&format!("LOAD {}", extra_edge.display()));
+    assert!(steps.is_empty(), "{steps:?}");
+    assert!(
+        err.starts_with("ERR cannot parse ")
+            && err.contains("parse error on line 7: unexpected \"1\" after the last declared edge"),
+        "{err}"
+    );
+    // No failed LOAD left a graph behind, and no stray line is
     // queued ahead of this reply.
     let (_, stats) = client.roundtrip("STATS");
     assert!(stats.starts_with("OK STATS resident=0 "), "{stats}");
