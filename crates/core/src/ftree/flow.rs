@@ -33,8 +33,6 @@
 //!   to a warm race lane that may already hold it, and takes that snapshot,
 //!   vertex map and estimate instead of building; otherwise it builds and
 //!   offers the new snapshot for an estimate (a provider, the exact memo).
-//!   The rollback captures the applied state's images into the plan, so a
-//!   commit replays them instead of re-running the insertion.
 //!
 //! Both sampled cases are scored by a [`ScoreProgram`] recorded when the
 //! plan is made (in the applied state, for a structural plan): a new
@@ -52,10 +50,7 @@ use std::sync::Arc;
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
 use flowmax_sampling::{ComponentEstimate, ComponentGraph, LocalIdScratch};
 
-use super::{
-    CommitReplay, ComponentId, ComponentSource, Estimated, FTree, Formed, InsertCase, Kind,
-    LocalMap,
-};
+use super::{ComponentId, ComponentSource, Estimated, FTree, Formed, InsertCase, Kind, LocalMap};
 use crate::error::CoreError;
 use crate::estimator::EstimateProvider;
 
@@ -508,11 +503,9 @@ pub enum ProbePlan {
 /// and how to turn an estimate into a flow score.
 ///
 /// A journal-engine plan holds the score program recorded when it was
-/// made, and a structural one also the redo images its planning apply
-/// captured. Scoring evaluates the program and touches no tree; the plan
-/// keeps the latest estimate for its images. The plan is only valid while
-/// the tree it was created from is unchanged (the invariant every
-/// selection iteration already maintains).
+/// made; scoring evaluates the program and touches no tree. The plan is
+/// only valid while the tree it was created from is unchanged (the
+/// invariant every selection iteration already maintains).
 #[derive(Debug)]
 pub struct SampledProbe {
     snapshot: Arc<ComponentGraph>,
@@ -521,19 +514,13 @@ pub struct SampledProbe {
     kind: SampledKind,
 }
 
-#[allow(clippy::large_enum_variant)] // The plan is boxed already, and the
-// small variants serve only the reference engine.
 #[derive(Debug)]
 enum SampledKind {
-    /// The journal engine (cases IIIa, IIIb and IV): the recorded program,
-    /// the snapshot's vertex map, and for a structural plan the applied
-    /// state's images (`None` once a probe record took them for its
-    /// commit) with the estimate of the latest score, which they lack.
+    /// The journal engine (cases IIIa, IIIb and IV): the recorded program
+    /// and the snapshot's vertex map.
     Recorded {
         program: ScoreProgram,
         local: Arc<LocalMap>,
-        images: Option<CommitReplay>,
-        latest: Option<ComponentEstimate>,
     },
     /// Case IIIa, the pinned reference: a whole-forest traversal of the
     /// original tree with the estimate overriding the stored one.
@@ -576,28 +563,13 @@ impl SampledProbe {
         self.case
     }
 
-    /// The redo images of a journal structural plan, holding the estimate
-    /// of its latest score: the selection loop commits the candidate by
-    /// replaying them instead of re-running the insertion. `None` for
-    /// other plans, and after the first call.
-    pub(crate) fn take_replay(&mut self) -> Option<CommitReplay> {
-        let SampledKind::Recorded { images, latest, .. } = &mut self.kind else {
-            return None;
-        };
-        let mut replay = images.take()?;
-        if let Some(estimate) = latest.take() {
-            replay.set_estimate(estimate);
-        }
-        Some(replay)
-    }
-
     /// Scores the probe under `estimate`: the flow the tree would have with
     /// the candidate inserted, plus the candidate-specific `1 − α` bounds.
     ///
     /// Callable repeatedly — racing rounds re-score with growing-budget
-    /// estimates; only the latest call's estimate is retained. `tree` must
-    /// be the tree the plan was created from, **unchanged since**; only a
-    /// reference-engine case-IIIa plan reads it, and no plan writes it.
+    /// estimates. `tree` must be the tree the plan was created from,
+    /// **unchanged since**; only a reference-engine case-IIIa plan reads
+    /// it, and no plan writes it.
     pub fn score(
         &mut self,
         tree: &FTree,
@@ -607,18 +579,7 @@ impl SampledProbe {
         estimate: ComponentEstimate,
     ) -> ProbeOutcome {
         let (flow, lower, upper) = match &mut self.kind {
-            SampledKind::Recorded {
-                program,
-                images,
-                latest,
-                ..
-            } => {
-                let bounds = program.eval(&estimate, alpha, include_query);
-                if images.is_some() {
-                    *latest = Some(estimate);
-                }
-                bounds
-            }
+            SampledKind::Recorded { program, .. } => program.eval(&estimate, alpha, include_query),
             SampledKind::InBiReference { cid } => tree.flow_with_override_bounds(
                 graph,
                 include_query,
@@ -724,9 +685,6 @@ pub(crate) enum PlanMode<'a> {
     /// apply when the [`InApplyScore`] answers.
     Journal(Option<InApplyScore<'a>>),
 }
-
-/// A probe score plus its redo images (journal structural probes only).
-pub(crate) type Scored = (ProbeOutcome, Option<CommitReplay>);
 
 impl FTree {
     /// The expected information flow `E(flow(Q, G_selected))` under the
@@ -1107,24 +1065,6 @@ impl FTree {
         alpha: f64,
         provider: &mut dyn EstimateProvider,
     ) -> Result<ProbeOutcome, CoreError> {
-        self.probe_edge_keeping(graph, e, base_flow, include_query, alpha, provider)
-            .map(|(outcome, _replay)| outcome)
-    }
-
-    /// [`probe_edge`](FTree::probe_edge), additionally returning the
-    /// [`CommitReplay`] of a structural probe: the selection loop can then
-    /// commit the winning candidate by replaying its probe's recorded
-    /// mutations instead of re-running the insertion.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_edge_keeping(
-        &mut self,
-        graph: &ProbabilisticGraph,
-        e: EdgeId,
-        base_flow: f64,
-        include_query: bool,
-        alpha: f64,
-        provider: &mut dyn EstimateProvider,
-    ) -> Result<Scored, CoreError> {
         let mut at_hand = Estimated(provider);
         let score = InApplyScore {
             include_query,
@@ -1133,17 +1073,13 @@ impl FTree {
         };
         let (plan, scored) =
             self.probe_plan_with(graph, e, base_flow, PlanMode::Journal(Some(score)))?;
-        match plan {
-            ProbePlan::Analytic(outcome) => Ok((outcome, None)),
-            ProbePlan::Sampled(mut sampled) => {
-                let outcome = match scored {
-                    Some(outcome) => outcome,
-                    None => {
-                        let estimate = at_hand.0.estimate(sampled.snapshot());
-                        sampled.score(self, graph, include_query, alpha, estimate)
-                    }
-                };
-                Ok((outcome, sampled.take_replay()))
+        match (plan, scored) {
+            (ProbePlan::Analytic(outcome), _) | (ProbePlan::Sampled(_), Some(outcome)) => {
+                Ok(outcome)
+            }
+            (ProbePlan::Sampled(mut sampled), None) => {
+                let estimate = at_hand.0.estimate(sampled.snapshot());
+                Ok(sampled.score(self, graph, include_query, alpha, estimate))
             }
         }
     }
@@ -1262,8 +1198,6 @@ impl FTree {
                     SampledKind::Recorded {
                         program: self.record_program(graph, cid, &local, [cid.0].into_iter()),
                         local,
-                        images: None,
-                        latest: None,
                     }
                 };
                 let plan = SampledProbe {
@@ -1311,10 +1245,9 @@ impl FTree {
     /// the formed component ready-made from `score` when it holds one and
     /// otherwise building it with the estimate deferred. The plan's
     /// [`ScoreProgram`] is recorded in the applied state; the rollback then
-    /// restores the tree bit-identically and captures the applied state's
-    /// images into the returned plan, for a commit to replay. When `score`
-    /// served the component, or holds an estimate for the new snapshot, the
-    /// candidate is scored here as well.
+    /// restores the tree bit-identically. When `score` served the
+    /// component, or holds an estimate for the new snapshot, the candidate
+    /// is scored here as well.
     fn probe_structural(
         &mut self,
         graph: &ProbabilisticGraph,
@@ -1344,8 +1277,7 @@ impl FTree {
         let (snapshot, local) = (Arc::clone(snapshot), Arc::clone(local));
         let served = served.then(|| Arc::clone(estimate));
         let program = self.record_program(graph, cid, &local, journal.touched_slot_ids());
-        let images = self.rollback_capturing(journal, cid);
-        let mut latest = None;
+        self.rollback(journal);
         let outcome = score.and_then(
             |InApplyScore {
                  include_query,
@@ -1354,12 +1286,7 @@ impl FTree {
              }| {
                 let (flow, lower, upper) = match served {
                     Some(estimate) => program.eval(&estimate, alpha, include_query),
-                    None => {
-                        let estimate = at_hand.estimate(&snapshot)?;
-                        let bounds = program.eval(&estimate, alpha, include_query);
-                        latest = Some(estimate);
-                        bounds
-                    }
+                    None => program.eval(&at_hand.estimate(&snapshot)?, alpha, include_query),
                 };
                 Some(ProbeOutcome {
                     flow,
@@ -1374,12 +1301,7 @@ impl FTree {
             snapshot,
             cost_edges: report.sampled_edge_count,
             case: report.case,
-            kind: SampledKind::Recorded {
-                program,
-                local,
-                images: Some(images),
-                latest,
-            },
+            kind: SampledKind::Recorded { program, local },
         };
         (plan, outcome)
     }
@@ -1841,8 +1763,7 @@ mod tests {
     /// Scoring a journal structural plan evaluates its recorded program:
     /// two scores at two estimates insert nothing, leave the tree equal to
     /// a clone taken before the plan, and equal the clone-based reference's
-    /// scores bit for bit. The images the plan hands out carry the last
-    /// score's estimate, so their replay equals the reference's insertion.
+    /// scores bit for bit.
     #[test]
     fn structural_scores_evaluate_the_program_without_inserting() {
         use crate::estimator::EstimateProvider;
@@ -1884,16 +1805,6 @@ mod tests {
             #[cfg(debug_assertions)]
             assert_eq!(FTree::debug_structural_insert_count(), inserts);
             assert_ne!(flows[0], flows[1], "the two estimates differ");
-            let replay = plan.take_replay().expect("the plan keeps its images");
-            let SampledKind::StructuralCloned { tree: inserted, .. } = &cloned.kind else {
-                panic!("the reference plan holds its inserted clone");
-            };
-            let mut committed = before.clone();
-            committed.commit_replay(replay);
-            assert!(
-                committed == **inserted,
-                "the replay commits the last score's estimate"
-            );
         }
     }
 
@@ -1929,10 +1840,10 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// After every commit of a random order — structural winners by
-            /// replay, the rest by journalled apply, as the greedy commits
-            /// them — every tree vertex's memoized reach that is still
-            /// served equals a fresh walk to `Q`, bit for bit.
+            /// After every commit of a random order — each pick probed, then
+            /// committed by journalled apply, as the greedy commits it —
+            /// every tree vertex's memoized reach that is still served
+            /// equals a fresh walk to `Q`, bit for bit.
             #[test]
             fn a_served_memo_always_equals_a_fresh_walk(
                 (n, parents, chords, probs, order) in (
@@ -1959,18 +1870,11 @@ mod tests {
                         break;
                     }
                     let e = cands[pick % cands.len()];
-                    let (_, replay) = tree
-                        .probe_edge_keeping(&g, e, base, false, 0.01, &mut pr)
-                        .unwrap();
-                    match replay {
-                        Some(replay) => tree.commit_replay(replay),
-                        None => {
-                            let (_, journal) = tree.apply(&g, e, &mut pr).unwrap();
-                            let touched: Vec<u32> = journal.touched_slot_ids().collect();
-                            drop(journal);
-                            tree.cache_mark_dirty(touched);
-                        }
-                    }
+                    tree.probe_edge(&g, e, base, false, 0.01, &mut pr).unwrap();
+                    let (_, journal) = tree.apply(&g, e, &mut pr).unwrap();
+                    let touched: Vec<u32> = journal.touched_slot_ids().collect();
+                    drop(journal);
+                    tree.cache_mark_dirty(touched);
                     tree.flow_cached_total(&g, false);
                     for &v in &in_tree {
                         if let Some(memo) = tree.memoized_reach(v) {
@@ -1989,17 +1893,7 @@ mod tests {
     mod rescore_props {
         use super::memo_props::build;
         use super::*;
-        use crate::estimator::EstimateProvider;
         use proptest::prelude::*;
-
-        /// Answers every estimate with one fixed estimate.
-        struct Fixed(ComponentEstimate);
-
-        impl EstimateProvider for Fixed {
-            fn estimate(&mut self, _: &ComponentGraph) -> ComponentEstimate {
-                self.0.clone()
-            }
-        }
 
         /// A sampled estimate of `snapshot` over `samples` worlds, with
         /// success counts drawn from `draws`.
@@ -2022,11 +1916,9 @@ mod tests {
             /// Over random graphs and commit orders, every journal plan of
             /// case IIIa, IIIb or IV scores bit-identically to the
             /// clone-based reference at three estimates (exact and two
-            /// sampled), every score leaves the tree as it was, and a
-            /// structural plan's replay after its re-scores commits the
-            /// tree `insert_edge` builds with the last estimate.
+            /// sampled), and every score leaves the tree as it was.
             #[test]
-            fn rescores_match_the_reference_and_replay_the_last_estimate(
+            fn rescores_match_the_reference_and_keep_the_tree(
                 (n, parents, chords, probs, order, draws) in (
                     3usize..9,
                     proptest::collection::vec(0usize..64, 8),
@@ -2062,7 +1954,6 @@ mod tests {
                             sampled(snapshot, 64, &draws),
                             sampled(snapshot, 1000, &draws[1..]),
                         ];
-                        let last = estimates[2].clone();
                         for estimate in estimates {
                             let a = plan.score(&tree, &g, false, 0.01, estimate.clone());
                             let b = reference.score(&tree, &g, false, 0.01, estimate);
@@ -2071,16 +1962,6 @@ mod tests {
                             prop_assert_eq!(a.lower.to_bits(), b.lower.to_bits());
                             prop_assert_eq!(a.upper.to_bits(), b.upper.to_bits());
                             prop_assert!(tree == before, "scoring {:?} changed the tree", e);
-                        }
-                        match plan.take_replay() {
-                            Some(replay) => {
-                                let mut replayed = before.clone();
-                                replayed.commit_replay(replay);
-                                let mut inserted = before.clone();
-                                inserted.insert_edge(&g, e, &mut Fixed(last)).unwrap();
-                                prop_assert!(replayed == inserted, "replay of {:?}", e);
-                            }
-                            None => prop_assert_eq!(plan.case(), InsertCase::CycleInBi),
                         }
                     }
                     commit(&mut tree, &g, cands[pick % cands.len()]);

@@ -27,12 +27,9 @@
 //! insertion path — leaf attachment, `splitTree`, chain absorption — is
 //! journalled without case-specific code.
 
-use std::sync::Arc;
-
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
-use flowmax_sampling::{ComponentEstimate, ComponentGraph};
 
-use super::{Component, ComponentId, ComponentSource, Estimated, FTree, InsertReport, Kind};
+use super::{Component, ComponentId, ComponentSource, Estimated, FTree, InsertReport};
 use crate::error::CoreError;
 use crate::estimator::EstimateProvider;
 
@@ -75,83 +72,6 @@ impl Journal {
     /// seed set for `O(touched)` incremental flow evaluation.
     pub(crate) fn touched_slot_ids(&self) -> impl Iterator<Item = u32> + '_ {
         self.slots.iter().map(|&(s, _)| s)
-    }
-}
-
-/// The *redo* record of one probed insertion: the post-apply images
-/// [`FTree::rollback_capturing`] collects on the way out. The selection
-/// loop commits a winning structural candidate by handing this back to
-/// [`FTree::commit_replay`], which re-applies the recorded mutations —
-/// estimates included — without re-running `insert_edge` (and therefore
-/// without re-estimating or re-sampling anything). A structural probe plan
-/// keeps its replay while its recorded score program re-scores it, and
-/// writes the estimate of its latest score into the formed component's
-/// image ([`CommitReplay::set_estimate`]) before handing it out.
-///
-/// A replay is only valid on the exact tree state it was captured from;
-/// `commit_replay` debug-asserts the version counter and arena length to
-/// catch misuse.
-#[derive(Debug)]
-pub(crate) struct CommitReplay {
-    /// The candidate edge the probe applied.
-    edge: EdgeId,
-    /// The bi component the insertion formed.
-    component: ComponentId,
-    /// Tree state fingerprints at capture time (pre-apply side).
-    pre_version_counter: u64,
-    pre_arena_len: usize,
-    /// Post-apply images: arena length, free list, roots, version counter,
-    /// touched slots and vertex assignments as the applied tree had them.
-    arena_len: usize,
-    free: Vec<u32>,
-    roots: Vec<ComponentId>,
-    version_counter: u64,
-    slots: Vec<(u32, Option<Component>)>,
-    assignments: Vec<(VertexId, Option<ComponentId>)>,
-}
-
-impl CommitReplay {
-    /// The edge the replay would insert.
-    pub(crate) fn edge(&self) -> EdgeId {
-        self.edge
-    }
-
-    /// The component snapshot of the bi component the insertion forms, as
-    /// it will exist after the replay. A memoized estimate for this
-    /// snapshot is what licenses a replay-based commit (the reference
-    /// engine's re-insertion would hit the memo rather than sample).
-    pub(crate) fn snapshot(&self) -> &ComponentGraph {
-        let (_, post) = self
-            .slots
-            .iter()
-            .find(|&&(s, _)| s == self.component.0)
-            .expect("replay records the formed component's slot");
-        let comp = post
-            .as_ref()
-            .expect("the formed component is live in the post-image");
-        let Kind::Bi { snapshot, .. } = &comp.kind else {
-            panic!("structural insertions form a bi component")
-        };
-        snapshot
-    }
-
-    /// Replaces the formed component's estimate in its image: the replay
-    /// then commits the estimate a plan's latest score used.
-    pub(crate) fn set_estimate(&mut self, estimate: ComponentEstimate) {
-        let component = self.component.0;
-        let image = self
-            .slots
-            .iter_mut()
-            .find_map(|(s, post)| (*s == component).then_some(post.as_mut()))
-            .flatten()
-            .expect("replay records the formed component's live image");
-        let Kind::Bi {
-            estimate: stored, ..
-        } = &mut image.kind
-        else {
-            panic!("structural insertions form a bi component")
-        };
-        *stored = Arc::new(estimate);
     }
 }
 
@@ -272,114 +192,6 @@ impl FTree {
         self.version_counter = journal.version_counter;
     }
 
-    /// [`rollback`](FTree::rollback) that captures the applied state's
-    /// images on the way out, as a [`CommitReplay`] for `component` (the bi
-    /// component the insertion formed). Restoration is bit-identical to a
-    /// plain rollback; the only extra cost is moving the post-images out of
-    /// the arena instead of overwriting them, linear in the journal.
-    pub(crate) fn rollback_capturing(
-        &mut self,
-        journal: Journal,
-        component: ComponentId,
-    ) -> CommitReplay {
-        debug_assert!(self.recorder.is_none(), "cannot rollback mid-apply");
-        let removed = self.selected.remove(journal.edge);
-        debug_assert!(removed, "journalled edge must still be selected");
-        let Journal {
-            edge,
-            arena_len,
-            free,
-            roots,
-            version_counter,
-            slots,
-            assignments,
-        } = journal;
-        let post_arena_len = self.arena.len();
-        let post_free = std::mem::replace(&mut self.free, free);
-        let post_roots = std::mem::replace(&mut self.roots, roots);
-        let post_version_counter = self.version_counter;
-        self.version_counter = version_counter;
-        // Post-assignment of a vertex = its current value. A vertex written
-        // twice (absorbed, then re-assigned) is captured twice with the same
-        // final owner, which `commit_replay` writes idempotently.
-        let post_assignments: Vec<(VertexId, Option<ComponentId>)> = assignments
-            .iter()
-            .map(|&(v, _)| (v, self.assignment[v.index()]))
-            .collect();
-        for (v, owner) in assignments.into_iter().rev() {
-            self.assignment[v.index()] = owner;
-        }
-        let mut post_slots: Vec<(u32, Option<Component>)> = Vec::with_capacity(slots.len());
-        for (slot, saved) in slots {
-            let idx = slot as usize;
-            let post = if idx < arena_len {
-                std::mem::replace(&mut self.arena[idx], saved)
-            } else {
-                self.arena[idx].take()
-            };
-            post_slots.push((slot, post));
-        }
-        self.arena.truncate(arena_len);
-        CommitReplay {
-            edge,
-            component,
-            pre_version_counter: version_counter,
-            pre_arena_len: arena_len,
-            arena_len: post_arena_len,
-            free: post_free,
-            roots: post_roots,
-            version_counter: post_version_counter,
-            slots: post_slots,
-            assignments: post_assignments,
-        }
-    }
-
-    /// Commits a probed insertion by re-applying its captured post-images —
-    /// the `O(touched)` commit path of the incremental engine. The tree
-    /// ends bit-identical to re-running `insert_edge` with the same
-    /// estimates, but nothing is re-classified, re-built or re-sampled; the
-    /// touched slots are queued on the flow cache for the next drain.
-    pub(crate) fn commit_replay(&mut self, replay: CommitReplay) {
-        debug_assert!(self.recorder.is_none(), "cannot commit mid-apply");
-        debug_assert_eq!(
-            self.version_counter, replay.pre_version_counter,
-            "replay requires the exact tree it was captured from"
-        );
-        debug_assert_eq!(
-            self.arena.len(),
-            replay.pre_arena_len,
-            "replay requires the exact tree it was captured from"
-        );
-        let CommitReplay {
-            edge,
-            component: _,
-            pre_version_counter: _,
-            pre_arena_len: _,
-            arena_len,
-            free,
-            roots,
-            version_counter,
-            slots,
-            assignments,
-        } = replay;
-        if self.arena.len() < arena_len {
-            self.arena.resize_with(arena_len, || None);
-        }
-        let touched: Vec<u32> = slots.iter().map(|&(s, _)| s).collect();
-        for (slot, post) in slots {
-            self.arena[slot as usize] = post;
-        }
-        for (v, owner) in assignments {
-            self.assignment[v.index()] = owner;
-        }
-        self.free = free;
-        self.roots = roots;
-        self.version_counter = version_counter;
-        let inserted = self.selected.insert(edge);
-        debug_assert!(inserted, "replayed edge must not already be selected");
-        self.cache_mark_dirty(touched);
-    }
-
     /// Records the first-touch snapshot of `slot` if an apply is running.
     /// Every mutation of an existing component must pass through here (the
     /// [`FTree::comp_mut`] accessor does it for all of them).
@@ -431,7 +243,7 @@ impl FTree {
 mod tests {
     use super::*;
     use crate::estimator::{EstimatorConfig, SamplingProvider};
-    use crate::ftree::InsertCase;
+    use crate::ftree::{InsertCase, Kind};
     use flowmax_graph::{GraphBuilder, Probability, Weight};
 
     fn provider() -> SamplingProvider {
@@ -535,39 +347,34 @@ mod tests {
 
     /// A case-IV insertion absorbing a bi component writes its vertices
     /// twice: cleared on absorption, then assigned to the new component.
-    /// The redo capture keeps every write (no dedup); replaying them lands
-    /// each vertex on its final owner, exactly as `insert_edge` does.
+    /// The rollback replays the writes newest-first, so each vertex lands
+    /// on its original owner; a later commit through `apply` then builds
+    /// exactly the tree `insert_edge` does.
     #[test]
-    fn replay_of_doubly_written_vertices_equals_insert_edge() {
+    fn rollback_of_doubly_written_vertices_restores_their_owners() {
         let g = graph();
         let mut pr = provider();
         let mut tree = FTree::new(&g, VertexId(0));
         for e in [0u32, 1, 2, 3] {
             tree.insert_edge(&g, EdgeId(e), &mut pr).unwrap();
         }
-        let mut reference = tree.clone();
+        let before = tree.clone();
         // Chord 1-3 closes a cycle across the bi {1, 2} and its mono child {3}.
         let (report, journal) = tree.apply(&g, EdgeId(4), &mut pr).unwrap();
         assert_eq!(report.case, InsertCase::CycleAcross);
-        let writes = |log: &[(VertexId, Option<ComponentId>)], v: u32| {
-            log.iter().filter(|&&(w, _)| w == VertexId(v)).count()
-        };
         for v in 1..=3 {
-            assert_eq!(
-                writes(&journal.assignments, v),
-                2,
-                "v{v} absorbed, then re-assigned"
-            );
+            let writes = journal
+                .assignments
+                .iter()
+                .filter(|&&(w, _)| w == VertexId(v))
+                .count();
+            assert_eq!(writes, 2, "v{v} absorbed, then re-assigned");
         }
-        let replay = tree.rollback_capturing(journal, report.component.unwrap());
-        for v in 1..=3 {
-            assert_eq!(
-                writes(&replay.assignments, v),
-                2,
-                "the capture keeps both writes"
-            );
-        }
-        tree.commit_replay(replay);
+        tree.rollback(journal);
+        assert_eq!(tree, before, "rollback must restore bit-identically");
+        let (_, journal) = tree.apply(&g, EdgeId(4), &mut pr).unwrap();
+        drop(journal);
+        let mut reference = before;
         reference.insert_edge(&g, EdgeId(4), &mut pr).unwrap();
         assert_eq!(tree, reference);
         tree.validate(&g).unwrap();
@@ -622,52 +429,5 @@ mod tests {
         tree.rollback(journal);
         assert_eq!(tree, before);
         tree.validate(&g).unwrap();
-    }
-
-    /// The replay-commit golden: walking the Fig. 3 graph, every structural
-    /// insertion is committed by **replaying its probe's captured journal**
-    /// (apply → `rollback_capturing` → `commit_replay`) and must leave the
-    /// tree `PartialEq`-identical to a reference built by `insert_edge` —
-    /// including arena layout, free-list order, version counters and the
-    /// cached estimates the rollback re-captured.
-    #[test]
-    fn commit_replay_equals_insert_edge_built_tree() {
-        let g = crate::ftree::goldens::figure3_graph();
-        let mut pr = provider();
-        let mut replayed = FTree::new(&g, VertexId(0));
-        let mut reference = FTree::new(&g, VertexId(0));
-        let mut structural_commits = 0usize;
-        for e in 0..19u32 {
-            let e = EdgeId(e);
-            let (report, journal) = replayed.apply(&g, e, &mut pr).unwrap();
-            let structural = matches!(
-                report.case,
-                InsertCase::CycleInMono | InsertCase::CycleAcross
-            );
-            if structural {
-                // The probe path: capture the journal's post-image while
-                // rolling back, then commit by writing it back.
-                let cid = report.component.expect("structural cases touch a bi");
-                let replay = replayed.rollback_capturing(journal, cid);
-                assert_eq!(replay.edge(), e);
-                assert!(replay.snapshot().edge_count() > 0);
-                replayed.commit_replay(replay);
-                structural_commits += 1;
-            } else {
-                // Leaf/in-bi commits keep the applied journal directly.
-                drop(journal);
-            }
-            reference.insert_edge(&g, e, &mut pr).unwrap();
-            assert_eq!(replayed, reference, "trees diverged after {e:?}");
-            replayed.validate(&g).unwrap();
-            assert_eq!(
-                replayed.expected_flow(&g, false).to_bits(),
-                reference.expected_flow(&g, false).to_bits()
-            );
-        }
-        assert!(
-            structural_commits >= 2,
-            "the figure 3 walk must exercise replay commits"
-        );
     }
 }

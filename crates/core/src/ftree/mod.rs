@@ -31,7 +31,6 @@ pub(crate) use flow::{AtHand, InApplyScore, PlanMode};
 pub use flow::{ProbeOutcome, ProbePlan, SampledProbe};
 pub(crate) use insert::{ComponentSource, Estimated, Formed};
 pub use insert::{InsertCase, InsertReport};
-pub(crate) use journal::CommitReplay;
 pub use journal::Journal;
 
 use std::collections::BTreeMap;
@@ -337,10 +336,8 @@ thread_local! {
     /// this by zero: probes and commits must aggregate `O(touched)` through
     /// the flow cache, never re-walk the whole tree.
     static FULL_FLOW_EVALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    /// Structural (case IIIb/IV) insertion executions by this thread. A
-    /// replay-based commit re-applies recorded mutations and must not show
-    /// up here — the incremental loop asserts memoized structural winners
-    /// leave this counter untouched across the commit.
+    /// Structural (case IIIb/IV) insertion executions by this thread.
+    /// `RaceDriver` asserts one per structural plan and none per re-score.
     static STRUCTURAL_INSERTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     /// Component snapshots built by this thread's F-trees. A warm
     /// structural probe is served its lane's snapshot and builds none; the
@@ -438,10 +435,9 @@ impl FTree {
     }
 
     /// Number of structural (case IIIb/IV) insertion executions this
-    /// thread has performed (debug builds only; probes count too). The
-    /// incremental loop asserts a memoized structural commit leaves this
-    /// untouched — the winner is committed by replaying its probe's
-    /// recorded mutations, never by re-running `insert_edge`.
+    /// thread has performed (debug builds only; probes and commits both
+    /// count). `RaceDriver` asserts a race inserts once per structural
+    /// plan and never per re-score.
     #[cfg(debug_assertions)]
     pub fn debug_structural_insert_count() -> u64 {
         STRUCTURAL_INSERTS.with(|c| c.get())

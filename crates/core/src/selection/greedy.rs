@@ -21,7 +21,7 @@ use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
 
 use crate::cancel::{RunControl, StopCause};
 use crate::estimator::{EstimateProvider, EstimatorConfig, SamplingProvider};
-use crate::ftree::{CommitReplay, FTree, InsertCase, ProbeOutcome, ProbePlan};
+use crate::ftree::{FTree, InsertCase, ProbeOutcome, ProbePlan};
 use crate::metrics::SelectionMetrics;
 use crate::selection::candidates::CandidateSet;
 use crate::selection::delayed::DelayTracker;
@@ -34,8 +34,8 @@ use crate::selection::racing::RaceDriver;
 pub enum ProbeEngine {
     /// `O(touched)` iterations: probes answer `base + Δ(touched)` through
     /// the F-tree flow cache, structural probes score by journalled apply →
-    /// rollback on the shared tree, and — under memoization — structural
-    /// winners commit by replaying the probe's recorded mutations.
+    /// rollback on the shared tree, and winners commit by journalled apply,
+    /// whose touched slots the flow cache re-aggregates.
     #[default]
     Incremental,
     /// The test oracle: one full F-tree clone per structural probe,
@@ -149,10 +149,6 @@ pub struct SelectionOutcome {
 pub(crate) struct ProbeRecord {
     pub(crate) edge: EdgeId,
     pub(crate) outcome: ProbeOutcome,
-    /// The probe's captured redo images (incremental engine, structural
-    /// journal probes only) — the winning record's replay commits the
-    /// insertion without re-running it.
-    pub(crate) replay: Option<CommitReplay>,
     /// Eliminated by the §6.3 race: never selected, but its last score
     /// (`outcome`) still feeds §6.4's delay.
     pub(crate) eliminated: bool,
@@ -223,7 +219,7 @@ pub fn greedy_select(
         let clones_before = FTree::debug_clone_count();
         #[cfg(debug_assertions)]
         let full_evals_before = FTree::debug_full_flow_eval_count();
-        let mut records = if let Some(racer) = racer.as_mut() {
+        let records = if let Some(racer) = racer.as_mut() {
             racer.probe_candidates(
                 graph,
                 &mut tree,
@@ -258,44 +254,37 @@ pub fn greedy_select(
         let best_case = records[best_idx].outcome.case;
 
         // Commit. With memoization the insertion reuses the winning probe's
-        // estimate; otherwise it re-samples (the paper's plain FT). The
-        // incremental engine commits a memoized structural winner by
-        // replaying its probe's recorded mutations — zero re-insertion work
-        // — gated on the memo still holding the formed component's estimate
-        // (it always does: the probe published it), so the metrics come out
-        // identical to the reference engine's memo-hit re-insertion.
-        // Everything else commits through the journalled apply, which hands
-        // the touched slots to the flow cache.
+        // estimate, which the probe (or the race, for its finalists)
+        // published to the memo; otherwise it re-samples (the paper's plain
+        // FT). The incremental engine commits through the journalled apply,
+        // which hands the touched slots to the flow cache.
         #[cfg(debug_assertions)]
-        let structural_inserts_before = FTree::debug_structural_insert_count();
-        let mut replay_slot = records[best_idx].replay.take();
-        let mut committed_by_replay = false;
-        if incremental && config.memoize {
-            if let Some(replay) = replay_slot.as_ref() {
-                debug_assert_eq!(replay.edge(), best_edge);
-                if provider.lookup(replay.snapshot()).is_some() {
-                    tree.commit_replay(replay_slot.take().expect("presence just checked"));
-                    committed_by_replay = true;
-                }
-            }
+        let drawn = |provider: &MemoProvider| {
+            let m = &provider.inner().metrics;
+            (m.components_sampled, m.edge_samples_drawn)
+        };
+        #[cfg(debug_assertions)]
+        let drawn_before = drawn(&provider);
+        if incremental {
+            let (report, journal) = tree
+                .apply(graph, best_edge, &mut provider)
+                .expect("candidate edges are insertable");
+            debug_assert_eq!(report.case, best_case);
+            let touched: Vec<u32> = journal.touched_slot_ids().collect();
+            // Dropping the journal keeps the insertion.
+            drop(journal);
+            tree.cache_mark_dirty(touched);
+        } else {
+            let report = tree
+                .insert_edge(graph, best_edge, &mut provider)
+                .expect("candidate edges are insertable");
+            debug_assert_eq!(report.case, best_case);
         }
-        if !committed_by_replay {
-            if incremental {
-                let (report, journal) = tree
-                    .apply(graph, best_edge, &mut provider)
-                    .expect("candidate edges are insertable");
-                debug_assert_eq!(report.case, best_case);
-                let touched: Vec<u32> = journal.touched_slot_ids().collect();
-                // Dropping the journal keeps the insertion.
-                drop(journal);
-                tree.cache_mark_dirty(touched);
-            } else {
-                let report = tree
-                    .insert_edge(graph, best_edge, &mut provider)
-                    .expect("candidate edges are insertable");
-                debug_assert_eq!(report.case, best_case);
-            }
-        }
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            !config.memoize || drawn(&provider) == drawn_before,
+            "a memoized commit reuses the winning probe's estimate and samples nothing"
+        );
         match best_case {
             InsertCase::LeafMono | InsertCase::LeafBi => metrics.insert_case_ii += 1,
             InsertCase::CycleInBi => metrics.insert_case_iiia += 1,
@@ -319,8 +308,7 @@ pub fn greedy_select(
 
         // Post-commit revalidation (the clone-counter pattern of the probe
         // phase, extended to the incremental state): the whole iteration
-        // must have run zero whole-forest traversals and — for memoized
-        // structural winners — zero re-insertions, and the cached base
+        // must have run zero whole-forest traversals, and the cached base
         // flow and versioned candidate pool must match a from-scratch
         // recomputation bit for bit.
         #[cfg(debug_assertions)]
@@ -330,15 +318,6 @@ pub fn greedy_select(
                 full_evals_before,
                 "incremental iterations must never fall back to whole-forest flow evaluation"
             );
-            if config.memoize
-                && matches!(best_case, InsertCase::CycleInMono | InsertCase::CycleAcross)
-            {
-                assert_eq!(
-                    FTree::debug_structural_insert_count(),
-                    structural_inserts_before,
-                    "memoized structural winners must commit by replay, not re-insertion"
-                );
-            }
             assert_eq!(
                 base_flow.to_bits(),
                 tree.expected_flow(graph, config.include_query).to_bits(),
@@ -419,24 +398,22 @@ fn probe_once(
     base_flow: f64,
     config: &GreedyConfig,
     provider: &mut MemoProvider,
-) -> (ProbeOutcome, Option<CommitReplay>) {
+) -> ProbeOutcome {
     if config.probe_engine == ProbeEngine::CloneReference {
         let plan = tree
             .probe_plan_cloning(graph, e, base_flow)
             .expect("candidates are probeable");
         return match plan {
-            ProbePlan::Analytic(outcome) => (outcome, None),
+            ProbePlan::Analytic(outcome) => outcome,
             ProbePlan::Sampled(mut sampled) => {
                 let estimate = provider.estimate(sampled.snapshot());
-                let outcome =
-                    sampled.score(tree, graph, config.include_query, config.alpha, estimate);
-                (outcome, None)
+                sampled.score(tree, graph, config.include_query, config.alpha, estimate)
             }
         };
     }
     // Journal engine: the one-shot probe fuses plan + score into a single
-    // journalled apply, capturing a structural probe's redo images.
-    tree.probe_edge_keeping(
+    // journalled apply.
+    tree.probe_edge(
         graph,
         e,
         base_flow,
@@ -459,7 +436,7 @@ fn probe_all(
 ) -> Vec<ProbeRecord> {
     let mut records = Vec::with_capacity(pool.len());
     for &e in pool {
-        let (outcome, replay) = probe_once(tree, graph, e, base_flow, config, provider);
+        let outcome = probe_once(tree, graph, e, base_flow, config, provider);
         metrics.probes += 1;
         if outcome.sampling_cost_edges == 0 {
             metrics.analytic_probes += 1;
@@ -467,7 +444,6 @@ fn probe_all(
         records.push(ProbeRecord {
             edge: e,
             outcome,
-            replay,
             eliminated: false,
         });
     }
@@ -591,7 +567,6 @@ mod tests {
                 case: InsertCase::CycleInMono,
                 sampling_cost_edges: 3,
             },
-            replay: None,
             eliminated,
         }
     }

@@ -27,10 +27,6 @@ pub struct MemoProvider {
     inner: SamplingProvider,
     cache: HashMap<u64, Entry>,
     enabled: bool,
-    /// Number of cache hits (estimates served without sampling).
-    pub hits: u64,
-    /// Number of cache misses (estimates computed and stored).
-    pub misses: u64,
 }
 
 #[derive(Debug)]
@@ -75,8 +71,6 @@ impl MemoProvider {
             inner,
             cache: HashMap::new(),
             enabled,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -89,11 +83,6 @@ impl MemoProvider {
     /// budget during confidence-interval races).
     pub fn inner_mut(&mut self) -> &mut SamplingProvider {
         &mut self.inner
-    }
-
-    /// Drops all cached estimates.
-    pub fn clear(&mut self) {
-        self.cache.clear();
     }
 
     /// Number of live cache entries.
@@ -127,25 +116,6 @@ impl MemoProvider {
         let key = self.fingerprint(snapshot);
         self.cache.insert(key, Entry::new(snapshot, estimate));
     }
-
-    /// Serves a cached estimate for `snapshot` if one exists, counting a
-    /// hit exactly like [`estimate`](EstimateProvider::estimate) would —
-    /// this is what licenses a replay-based commit: when the lookup hits,
-    /// the reference engine's re-insertion would have been served the same
-    /// cached estimate, so replaying the probe's recorded mutations is
-    /// bit-identical *including* the metrics. A miss counts nothing (the
-    /// caller falls back to a real insertion, whose estimate call records
-    /// the miss). Always `None` when memoization is disabled.
-    pub(crate) fn lookup(&mut self, snapshot: &ComponentGraph) -> Option<&ComponentEstimate> {
-        if !self.enabled {
-            return None;
-        }
-        let key = self.fingerprint(snapshot);
-        let entry = self.cache.get(&key)?;
-        self.hits += 1;
-        self.inner.metrics.memo_hits += 1;
-        Some(entry.serve(snapshot))
-    }
 }
 
 impl EstimateProvider for MemoProvider {
@@ -155,11 +125,9 @@ impl EstimateProvider for MemoProvider {
         }
         let key = self.fingerprint(snapshot);
         if let Some(cached) = self.cache.get(&key) {
-            self.hits += 1;
             self.inner.metrics.memo_hits += 1;
             return cached.serve(snapshot).clone();
         }
-        self.misses += 1;
         let est = self.inner.estimate(snapshot);
         self.cache.insert(key, Entry::new(snapshot, est.clone()));
         est
@@ -196,8 +164,7 @@ mod tests {
         let s = snapshot(false);
         let a = memo.estimate(&s);
         let b = memo.estimate(&s);
-        assert_eq!(memo.hits, 1);
-        assert_eq!(memo.misses, 1);
+        assert_eq!(memo.inner().metrics.memo_hits, 1);
         assert_eq!(a.reach_all(), b.reach_all());
         assert_eq!(
             memo.inner().metrics.components_sampled,
@@ -212,8 +179,8 @@ mod tests {
         let mut memo = MemoProvider::new(inner, true);
         memo.estimate(&snapshot(false));
         memo.estimate(&snapshot(true));
-        assert_eq!(memo.hits, 0);
-        assert_eq!(memo.misses, 2);
+        assert_eq!(memo.inner().metrics.memo_hits, 0);
+        assert_eq!(memo.inner().metrics.components_sampled, 2);
         assert_eq!(memo.cached_components(), 2);
     }
 
@@ -224,7 +191,11 @@ mod tests {
         memo.estimate(&snapshot(false));
         memo.inner_mut().set_samples(400);
         memo.estimate(&snapshot(false));
-        assert_eq!(memo.hits, 0, "different budgets must be distinct keys");
+        assert_eq!(
+            memo.inner().metrics.memo_hits,
+            0,
+            "different budgets must be distinct keys"
+        );
     }
 
     #[test]
@@ -234,7 +205,7 @@ mod tests {
         let s = snapshot(false);
         memo.estimate(&s);
         memo.estimate(&s);
-        assert_eq!(memo.hits, 0);
+        assert_eq!(memo.inner().metrics.memo_hits, 0);
         assert_eq!(
             memo.inner().metrics.components_sampled,
             2,
@@ -251,7 +222,11 @@ mod tests {
         let external = SamplingProvider::new(EstimatorConfig::monte_carlo(256), 9).estimate(&s);
         memo.store(&s, external.clone());
         let served = memo.estimate(&s);
-        assert_eq!(memo.hits, 1, "the stored estimate must be served");
+        assert_eq!(
+            memo.inner().metrics.memo_hits,
+            1,
+            "the stored estimate must be served"
+        );
         assert_eq!(served.reach_all(), external.reach_all());
         assert_eq!(
             memo.inner().metrics.components_sampled,
@@ -286,16 +261,5 @@ mod tests {
         let mut memo = MemoProvider::new(inner, true);
         memo.estimate(&stored);
         memo.estimate(&reordered);
-    }
-
-    #[test]
-    fn clear_empties_cache() {
-        let inner = SamplingProvider::new(EstimatorConfig::monte_carlo(100), 1);
-        let mut memo = MemoProvider::new(inner, true);
-        memo.estimate(&snapshot(false));
-        memo.clear();
-        assert_eq!(memo.cached_components(), 0);
-        memo.estimate(&snapshot(false));
-        assert_eq!(memo.misses, 2);
     }
 }

@@ -46,8 +46,7 @@ pub struct SelectionStep {
     /// Component estimates served from the §6.2 memo this iteration
     /// (probe-time cache hits plus racing streams resumed from cache).
     /// Part of the cross-engine determinism contract: the incremental
-    /// engine's replay commits must reproduce the reference engine's hit
-    /// sequence exactly.
+    /// engine must reproduce the reference engine's hit sequence exactly.
     pub memo_hits: u64,
 }
 

@@ -31,9 +31,9 @@
 //! insertion's exact AV and edge sequence also hands the apply its
 //! snapshot, vertex map and estimate before anything is built, so a warm
 //! probe builds no snapshot either. The lanes are the only store: no
-//! snapshot is kept that a lane does not hold. A finalist's record takes
-//! its plan's images, with the estimate of its last score written in, so
-//! the greedy commits it by replay.
+//! snapshot is kept that a lane does not hold. A finalist's estimate is
+//! published to the §6.2 memo, so the greedy's commit of the winner reuses
+//! it instead of sampling.
 //!
 //! # Determinism contract
 //!
@@ -131,11 +131,6 @@ impl AtHand for WarmLanes<'_> {
 
 struct Racer {
     edge: EdgeId,
-    /// The candidate's plan; a journal structural plan holds the estimate
-    /// of its latest score for its redo images. A round that reuses the
-    /// score (lane already at target) keeps it: the lane's estimate is a
-    /// pure function of its drawn worlds, so it still matches what a
-    /// re-score would use.
     plan: Box<SampledProbe>,
     key: u64,
     /// The latest score and the lane size (worlds drawn) it was taken at.
@@ -162,8 +157,8 @@ impl RaceDriver {
     /// Runs one greedy iteration's probes as a race. Returns one record per
     /// pool edge: the analytic and exactly-enumerated probes, every racing
     /// candidate that finished the race, and every eliminated one — marked
-    /// `eliminated`, with the score it was cut at and no redo images. An
-    /// eliminated record cannot win, but delayed sampling records it.
+    /// `eliminated`, with the score it was cut at. An eliminated record
+    /// cannot win, but delayed sampling records it.
     ///
     /// The tree is borrowed mutably because structural plans are made by a
     /// journalled apply → rollback on it, which leaves it bit-identical, so
@@ -234,7 +229,6 @@ impl RaceDriver {
                     records.push(ProbeRecord {
                         edge: e,
                         outcome,
-                        replay: None,
                         eliminated: false,
                     });
                 }
@@ -263,7 +257,6 @@ impl RaceDriver {
                         records.push(ProbeRecord {
                             edge: e,
                             outcome,
-                            replay: plan.take_replay(),
                             eliminated: false,
                         });
                         continue;
@@ -369,14 +362,14 @@ impl RaceDriver {
             metrics.ci_pruned += summary.eliminated as u64;
         }
 
-        for (i, mut racer) in racers.into_iter().enumerate() {
+        for (i, racer) in racers.into_iter().enumerate() {
             let (outcome, _) = racer.scored.expect("every racer is scored in round 0");
             // An eliminated racer cannot win, but its last score still feeds
-            // delayed sampling; its redo images would never be replayed.
+            // delayed sampling.
             let eliminated = race.status(i) != LaneStatus::Finished;
             if !eliminated {
                 // Publish the finalist's full-budget estimate so the
-                // commit's insert_edge reuses it instead of re-sampling.
+                // commit reuses it instead of re-sampling.
                 if let Some(lane) = self.lanes.get(&racer.key) {
                     memo.store(racer.plan.snapshot(), lane.component.estimate());
                 }
@@ -384,11 +377,6 @@ impl RaceDriver {
             records.push(ProbeRecord {
                 edge: racer.edge,
                 outcome,
-                replay: if eliminated {
-                    None
-                } else {
-                    racer.plan.take_replay()
-                },
                 eliminated,
             });
         }

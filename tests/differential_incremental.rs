@@ -3,8 +3,8 @@
 //!
 //! Two engines run every selection:
 //!
-//! * **incremental** — `base + Δ(touched)` flow accounting, replay-based
-//!   commits, the versioned candidate bitmap (the default);
+//! * **incremental** — `base + Δ(touched)` flow accounting, journalled
+//!   `apply` commits, the versioned candidate bitmap (the default);
 //! * **clone reference** — `ProbeEngine::CloneReference`: one F-tree
 //!   clone per structural probe, full-tree flow re-aggregation and
 //!   `insert_edge` commits.
@@ -12,7 +12,7 @@
 //! Both must agree **bit for bit** — same selections, same per-step flows,
 //! same per-step memoization-hit counts — under every heuristic stack and
 //! at 1 and 8 sampling threads. Any divergence in the touched-set flow
-//! delta, the replay commit, or the bitmap-maintained probe pool shows up
+//! delta, the journalled commit, or the bitmap-maintained probe pool shows up
 //! here as a first-divergence step report.
 
 use flowmax::core::{greedy_select, GreedyConfig, ProbeEngine, RunControl, SelectionStep};
@@ -92,7 +92,8 @@ struct Trace {
     /// Per-step cumulative flow, as exact bits.
     flow_bits: Vec<u64>,
     /// Per-step §6.2 memoization hits (probe cache hits + resumed racing
-    /// streams) — the replay-commit gate must not change the hit sequence.
+    /// streams) — a commit must take its memo hit exactly where the
+    /// reference engine's `insert_edge` does.
     memo_hits: Vec<u64>,
     /// Per-step probe evaluations.
     probes: Vec<u64>,
@@ -154,7 +155,7 @@ proptest! {
 
     /// Thread invariance of the incremental engine on its own: the trace at
     /// 8 sampling threads is bit-identical to the single-threaded one
-    /// (replay commits must not perturb the racing seed streams).
+    /// (commits must not perturb the racing seed streams).
     #[test]
     fn incremental_traces_are_thread_invariant(
         (spec, budget, seed) in (graph_spec(), 1usize..7, 0u64..1_000_000)
